@@ -318,9 +318,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_jobs(args: argparse.Namespace) -> int:
     from .service import ServiceClient, ServiceError
     status = "quarantined" if args.quarantined else args.status
-    client = ServiceClient(args.url)
     try:
-        page = client.jobs_page(status=status, limit=args.limit)
+        with ServiceClient(args.url) as client:
+            page = client.jobs_page(status=status, limit=args.limit)
     except (ServiceError, TimeoutError, OSError) as exc:
         raise SystemExit(f"error: {exc}")
     rows = []
@@ -409,6 +409,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                       f"{timing}: {exc.message}", file=sys.stderr)
     except (ServiceError, TimeoutError, OSError) as exc:
         raise SystemExit(f"error: {exc}")
+    finally:
+        client.close()
     print(json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2))
     if reports:
         print(render_reports(reports), file=sys.stderr)
@@ -534,7 +536,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.url:
         from .service import ServiceClient, ServiceError
         try:
-            sys.stdout.write(ServiceClient(args.url, timeout=10.0).metrics())
+            with ServiceClient(args.url, timeout=10.0) as client:
+                sys.stdout.write(client.metrics())
         except (ServiceError, OSError) as exc:
             raise SystemExit(
                 f"error: cannot fetch metrics from {args.url}: {exc}")

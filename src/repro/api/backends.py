@@ -16,7 +16,6 @@ never changes what a caller sees, only where the work runs.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from typing import TYPE_CHECKING, Iterator
 
@@ -162,62 +161,36 @@ class RemoteBackend:
     """Runs requests on a ``/v1`` scheduling service.
 
     ``solve`` uses the synchronous ``POST /v1/solve`` endpoint; batches
-    are submitted as one job per instance and polled to completion, so
-    they land in the service's persistent queue and result cache like
-    any other client's work.
+    are submitted as one job per instance, so they land in the service's
+    persistent queue and result cache like any other client's work, and
+    each job is then awaited with :meth:`ServiceClient.wait`, whose
+    long-poll returns as soon as the server has finished it.
     """
 
     name = "remote"
 
     def __init__(self, target: "str | ServiceClient", *,
-                 wait_timeout: float = 600.0, poll: float = 0.1) -> None:
+                 wait_timeout: float = 600.0) -> None:
         from ..service.client import ServiceClient
         self.client = (target if isinstance(target, ServiceClient)
                        else ServiceClient(target))
         self.wait_timeout = wait_timeout
-        self.poll = poll
 
     def solve(self, request: SolveRequest) -> SolveReport:
         return self.client.solve(request)
 
-    def _submit(self, batch: BatchRequest) -> list[dict]:
-        return [self.client.submit(inst, list(batch.algorithms), label=label,
-                                   timeout=batch.timeout)
-                for label, inst in batch.instances]
-
     def solve_batch(self, batch: BatchRequest) -> list[SolveReport]:
-        reports: list[SolveReport] = []
-        for job in self._submit(batch):
-            reports.extend(self.client.wait(job["id"],
-                                            timeout=self.wait_timeout,
-                                            poll=self.poll))
-        return reports
+        return list(self.stream(batch))
 
     def stream(self, batch: BatchRequest) -> Iterator[SolveReport]:
-        """Yield each instance's reports as its job finishes
-        (completion order); a server-side job failure raises
-        :class:`~repro.service.client.ServiceError` with
+        """Submit every instance, then yield each job's reports in
+        submission order — the order the store claims equal-priority
+        jobs. ``wait_timeout`` applies per job. A server-side job failure
+        raises :class:`~repro.service.client.ServiceError` with
         ``code="job_failed"`` (``"job_quarantined"`` for jobs that
         exhausted their retries), exactly like ``ServiceClient.wait``."""
-        pending = {job["id"] for job in self._submit(batch)}
-        deadline = time.monotonic() + self.wait_timeout
-        while pending:
-            finished = []
-            for job_id in pending:
-                job = self.client.job(job_id)
-                if job["status"] in ("failed", "quarantined"):
-                    raise self.client.job_failure(job)
-                if job["status"] == "done":
-                    finished.append(job_id)
-                    yield from self.client.reports(job_id)
-            pending.difference_update(finished)
-            if pending:
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"{len(pending)} job(s) still pending after "
-                        f"{self.wait_timeout}s")
-                # each cycle costs one GET per pending job — back off as
-                # the pending set grows so a wide batch does not hammer
-                # the threaded stdlib server
-                time.sleep(min(2.0, self.poll * max(1.0,
-                                                    len(pending) / 4)))
+        jobs = [self.client.submit(inst, list(batch.algorithms), label=label,
+                                   timeout=batch.timeout)
+                for label, inst in batch.instances]
+        for job in jobs:
+            yield from self.client.wait(job["id"], timeout=self.wait_timeout)

@@ -351,8 +351,7 @@ def differential_oracle(inst: Instance, specs: Sequence[SolverSpec],
             if not _close_enough(makespan, (1 + eps) * opt, False):
                 bad(f"PTAS makespan {rep.makespan} exceeds (1+eps) * OPT "
                     f"with eps={eps}")
-        if rep.guess is not None and spec.kind in ("approx", "exact",
-                                                   "baseline"):
+        if rep.guess is not None:
             if not _close_enough(Fraction(rep.guess), opt, exact):
                 bad(f"certified lower bound {rep.guess} exceeds the "
                     f"optimum {opt}", guess=str(rep.guess))

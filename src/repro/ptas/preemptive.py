@@ -86,7 +86,11 @@ def ptas_preemptive(inst: Instance,
 
     T, art, tried = integral_guess_search(lb, max(ub, lb), try_guess)
     sched = _build_schedule(inst, art)
-    return PTASResult(schedule=sched, guess=Fraction(T), epsilon=eps_out,
+    # preemptive OPT is fractional, so an accepted integral T may exceed
+    # it; the search rejected T - 1 (or T is the rounded-up bound), so
+    # OPT > T - 1 is what is certified
+    guess = max(lb_f, Fraction(T - 1))
+    return PTASResult(schedule=sched, guess=guess, epsilon=eps_out,
                       delta=dlt, makespan=sched.makespan(),
                       guesses_tried=tried,
                       stats={"layers": art.layers})

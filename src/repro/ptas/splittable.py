@@ -90,7 +90,10 @@ def ptas_splittable(inst: Instance, epsilon: float | Fraction | None = None,
     sched = _build_schedule(inst, art)
     eps_out = Fraction(epsilon).limit_denominator(10**6) if epsilon is not None \
         else 7 * dlt
-    return PTASResult(schedule=sched, guess=T, epsilon=eps_out, delta=dlt,
+    # the grid point below T was rejected (or was the lower bound
+    # itself), so OPT > T / (1+delta); T alone can exceed OPT
+    return PTASResult(schedule=sched, guess=max(lb, T / (1 + dlt)),
+                      epsilon=eps_out, delta=dlt,
                       makespan=sched.makespan(), guesses_tried=tried,
                       stats={"configs": art.space.num_configs})
 

@@ -3,8 +3,8 @@ HTTP API wrapping the batch execution engine.
 
 The subsystem turns the repository from a CLI into a long-running
 server: clients submit class-constrained scheduling work over HTTP,
-poll it, and share solved results through a digest-indexed report cache
-that survives restarts.
+wait on it, and share solved results through a digest-indexed report
+cache that survives restarts.
 
 The service is split into three swappable layers:
 

@@ -1,10 +1,15 @@
-"""Python client for the scheduling service (stdlib ``urllib`` only).
+"""Python client for the scheduling service (stdlib ``http.client`` only).
 
 Speaks the versioned ``/v1`` API: the uniform error envelope is decoded
 into :class:`ServiceError` (with its machine-readable ``code``),
 ``GET /v1/jobs`` pagination is exposed via :meth:`ServiceClient.jobs_page`,
 and :meth:`ServiceClient.solve` drives the synchronous ``POST /v1/solve``
 endpoint with a :class:`repro.api.SolveRequest`.
+
+Requests travel over a small pool of keep-alive connections, reused
+last-in first-out, with compact JSON bodies. :meth:`ServiceClient.wait`
+long-polls ``GET /v1/jobs/{id}?wait=<s>``, so the server reports a job's
+completion as it happens instead of the client guessing when to look.
 
 Used by the test suite, ``repro submit``, the examples and the remote
 backend of :class:`repro.api.Session`; any other HTTP client works just
@@ -15,25 +20,29 @@ routes and curl examples in the README).
 
     from repro.service import ServiceClient
 
-    client = ServiceClient("http://127.0.0.1:8080")
-    job = client.submit(inst, ["splittable", ("ptas-splittable",
-                                              {"delta": 2})])
-    reports = client.wait(job["id"])          # list[SolveReport]
+    with ServiceClient("http://127.0.0.1:8080") as client:
+        job = client.submit(inst, ["splittable", ("ptas-splittable",
+                                                  {"delta": 2})])
+        reports = client.wait(job["id"])      # list[SolveReport]
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import select
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..core.instance import Instance
 from ..engine.report import SolveReport
 from ..io import instance_to_dict
 from ..obs.trace import TRACE_HEADER, current_trace_id
+from .server import MAX_WAIT_SECONDS
 
 if TYPE_CHECKING:    # pragma: no cover - typing only
     from ..api import SolveRequest
@@ -68,6 +77,17 @@ def _decode_error(status: int, payload: Any) -> ServiceError:
     return ServiceError(status, str(payload))
 
 
+def _dropped(sock: socket.socket) -> bool:
+    """Whether the server has closed an idle pooled connection: its
+    socket is readable although no request is outstanding (the EOF, or
+    stray bytes that would desync the next response)."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class ServiceClient:
     """Minimal blocking client for one service endpoint.
 
@@ -78,6 +98,10 @@ class ServiceClient:
     own timeout — match it to the server's ``--timeout`` when that is
     raised above the 60s default, or the client socket closes while the
     server is still solving.
+
+    The client is safe to share between threads. It keeps at most as
+    many idle connections as it has had concurrent calls; ``close()``
+    (or leaving a ``with`` block) closes them.
     """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0,
@@ -87,14 +111,34 @@ class ServiceClient:
         self.timeout = timeout
         self.api_prefix = api_prefix
         self.sync_solve_budget = sync_solve_budget
+        url = urllib.parse.urlsplit(self.base_url)
+        self._connection_class = (http.client.HTTPSConnection
+                                  if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._netloc = url.netloc
+        self._path_prefix = url.path + api_prefix
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle pooled connections (the client stays usable)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
 
     #: Transient connection failures retried for idempotent requests.
-    _RETRIABLE = (ConnectionResetError, ConnectionRefusedError,
-                  ConnectionAbortedError)
+    _RETRIABLE = (ConnectionError,)
     _RETRIES = 4
     _RETRY_BASE = 0.05
     _RETRY_CAP = 2.0
@@ -108,56 +152,77 @@ class ServiceClient:
         return random.uniform(0.0, min(cls._RETRY_CAP,
                                        cls._RETRY_BASE * 2 ** attempt))
 
-    def _request(self, method: str, path: str, body: dict | None = None,
-                 transport_timeout: float | None = None) -> Any:
+    def _checkout(self, timeout: float) -> http.client.HTTPConnection:
+        """The most recently used live idle connection, or a new one."""
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                return self._connection_class(self._netloc, timeout=timeout)
+            # pooled connections are open: a response that closes its
+            # connection never returns it to the pool
+            if not _dropped(conn.sock):
+                conn.sock.settimeout(timeout)
+                return conn
+            conn.close()
+
+    def _send(self, method: str, path: str, body: dict | None = None,
+              transport_timeout: float | None = None
+              ) -> tuple[http.client.HTTPResponse, bytes]:
         headers = {"Content-Type": "application/json"}
         trace_id = current_trace_id()
         if trace_id is not None:
             # propagate the caller's ambient trace so server logs, the
             # job row and the resulting reports all correlate with it
             headers[TRACE_HEADER] = trace_id
-        req = urllib.request.Request(
-            self.base_url + self.api_prefix + path, method=method,
-            data=json.dumps(body).encode() if body is not None else None,
-            headers=headers)
-        # GETs are idempotent, so a connection dropped under load — or a
-        # 503 from an overloaded/draining server — is safely retried with
-        # exponential backoff; a POST is never resent (double-submit)
+        data = (json.dumps(body, separators=(",", ":")).encode()
+                if body is not None else None)
+        # GETs are idempotent, so a dropped connection — or a 503 from an
+        # overloaded/draining server — is safely retried with exponential
+        # backoff; a POST is never resent (double-submit)
         attempts = self._RETRIES if method == "GET" else 1
         for attempt in range(attempts):
+            conn = self._checkout(transport_timeout or self.timeout)
             try:
-                with urllib.request.urlopen(
-                        req,
-                        timeout=transport_timeout or self.timeout) as resp:
-                    return json.loads(resp.read())
-            except urllib.error.HTTPError as exc:
-                try:
-                    payload = json.loads(exc.read())
-                except (json.JSONDecodeError, ValueError):
-                    payload = {"error": str(exc.reason)}
-                if exc.code == 503 and attempt < attempts - 1 \
-                        and method == "GET":
-                    # honor Retry-After when the server names a delay
-                    retry_after = exc.headers.get("Retry-After") \
-                        if exc.headers is not None else None
-                    try:
-                        delay = min(float(retry_after),
-                                    self._RETRY_AFTER_CAP)
-                    except (TypeError, ValueError):
-                        delay = self._backoff_delay(attempt)
-                    time.sleep(delay)
-                    continue
-                raise _decode_error(exc.code, payload) from None
+                conn.request(method, self._path_prefix + path, body=data,
+                             headers=headers)
+                resp = conn.getresponse()
+                payload = resp.read()
             except self._RETRIABLE:
+                conn.close()
                 if attempt == attempts - 1:
                     raise
                 time.sleep(self._backoff_delay(attempt))
-            except urllib.error.URLError as exc:
-                if isinstance(exc.reason, self._RETRIABLE) \
-                        and attempt < attempts - 1:
-                    time.sleep(self._backoff_delay(attempt))
-                else:
-                    raise
+                continue
+            except BaseException:
+                conn.close()
+                raise
+            if resp.will_close:
+                conn.close()
+            else:
+                with self._lock:
+                    self._idle.append(conn)
+            if resp.status == 503 and attempt < attempts - 1:
+                # honor Retry-After when the server names a delay
+                try:
+                    delay = min(max(0.0, float(resp.getheader(
+                        "Retry-After", ""))), self._RETRY_AFTER_CAP)
+                except ValueError:
+                    delay = self._backoff_delay(attempt)
+                time.sleep(delay)
+                continue
+            return resp, payload
+
+    def _request(self, method: str, path: str, body: dict | None = None,
+                 transport_timeout: float | None = None) -> Any:
+        resp, data = self._send(method, path, body, transport_timeout)
+        if resp.status < 400:
+            return json.loads(data)
+        try:
+            payload = json.loads(data)
+        except ValueError:
+            payload = {"error": resp.reason}
+        raise _decode_error(resp.status, payload)
 
     # ------------------------------------------------------------------ #
     # API
@@ -202,9 +267,15 @@ class ServiceClient:
             body["timeout"] = timeout
         return self._request("POST", "/jobs", body)
 
-    def job(self, job_id: str) -> dict:
-        """``GET /v1/jobs/{id}``."""
-        return self._request("GET", f"/jobs/{job_id}")
+    def job(self, job_id: str, *, wait: float | None = None) -> dict:
+        """``GET /v1/jobs/{id}``. With ``wait``, a long-poll: the record
+        comes back once the job is terminal, or after ``wait`` seconds
+        (at most ``MAX_WAIT_SECONDS``)."""
+        if wait is None:
+            return self._request("GET", f"/jobs/{job_id}")
+        wait = min(wait, MAX_WAIT_SECONDS)
+        return self._request("GET", f"/jobs/{job_id}?wait={wait:.3f}",
+                             transport_timeout=self.timeout + wait)
 
     def jobs_page(self, status: str | None = None, limit: int = 50,
                   offset: int = 0) -> dict:
@@ -241,14 +312,11 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """``GET /v1/metrics`` — the raw Prometheus text exposition
-        (the one non-JSON payload, so it bypasses ``_request``)."""
-        req = urllib.request.Request(
-            self.base_url + self.api_prefix + "/metrics", method="GET")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read().decode()
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(exc.code, str(exc.reason)) from None
+        (the one non-JSON payload)."""
+        resp, data = self._send("GET", "/metrics")
+        if resp.status >= 400:
+            raise ServiceError(resp.status, resp.reason)
+        return data.decode()
 
     @staticmethod
     def job_failure(job: Mapping[str, Any]) -> ServiceError:
@@ -262,21 +330,23 @@ class ServiceClient:
             code=("job_quarantined" if status == "quarantined"
                   else "job_failed"))
 
-    def wait(self, job_id: str, *, timeout: float = 60.0,
-             poll: float = 0.05, poll_max: float = 1.0) -> list[SolveReport]:
-        """Poll until the job finishes; return its reports.
+    #: Least time between two long-polls of one job, for servers that
+    #: answer early: one shutting down, or one without ``?wait=``.
+    _REASK_INTERVAL = 0.1
 
-        The poll interval starts at ``poll`` and backs off geometrically
-        (with jitter) up to ``poll_max``, so long jobs are not hammered
-        at submission cadence. Raises :class:`TimeoutError` if the job
-        is still pending after ``timeout`` seconds, and
-        :class:`ServiceError` (status 500) if the job itself failed or
-        was quarantined server-side.
+    def wait(self, job_id: str, *, timeout: float = 60.0) -> list[SolveReport]:
+        """Block until the job finishes; return its reports.
+
+        Long-polls :meth:`job` until the job is terminal, then fetches
+        :meth:`reports`. Raises :class:`TimeoutError` if the job is still
+        pending after ``timeout`` seconds, and :class:`ServiceError`
+        (status 500) if the job itself failed or was quarantined
+        server-side.
         """
         deadline = time.monotonic() + timeout
-        interval = poll
         while True:
-            job = self.job(job_id)
+            asked = time.monotonic()
+            job = self.job(job_id, wait=max(0.0, deadline - asked))
             if job["status"] == "done":
                 return self.reports(job_id)
             if job["status"] in ("failed", "quarantined"):
@@ -285,6 +355,5 @@ class ServiceClient:
             if now >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {job['status']} after {timeout}s")
-            time.sleep(min(random.uniform(interval * 0.5, interval),
-                           max(0.0, deadline - now)))
-            interval = min(interval * 1.6, poll_max)
+            time.sleep(min(max(0.0, asked + self._REASK_INTERVAL - now),
+                           deadline - now))

@@ -156,6 +156,10 @@ class JobQueue:
         """Jobs currently being solved by an embedded drainer."""
         return self._node.active()
 
+    def wait_terminal(self, job_id: str, timeout: float) -> JobRecord | None:
+        """See :meth:`WorkerNode.wait_terminal`."""
+        return self._node.wait_terminal(job_id, timeout)
+
     def _backoff(self, attempts: int) -> float:
         """Full-jitter exponential backoff for retry attempt ``attempts``."""
         return self._node._backoff(attempts)

@@ -7,7 +7,9 @@ The stable, versioned surface lives under ``/v1``::
                               canonical request plus its SolveReport)
     POST /v1/jobs             submit one instance x algorithms job
     GET  /v1/jobs             paginated jobs (?status=&limit=&offset=)
-    GET  /v1/jobs/{id}        job status + timestamps
+    GET  /v1/jobs/{id}        job status + timestamps (?wait=<s> holds
+                              the request until the job is terminal,
+                              at most MAX_WAIT_SECONDS)
     GET  /v1/jobs/{id}/reports the job's SolveReports (?format=ndjson
                               or Accept: application/x-ndjson streams
                               one report per line)
@@ -51,11 +53,22 @@ solver may be named (``"algorithm"``) or capability-selected
     {"instance": {...}, "query": {"variant": "nonpreemptive",
                                   "max_ratio": "7/3"}}
 
+``GET /v1/jobs/{id}?wait=<s>`` is a long-poll: the job record comes
+back as soon as the job is ``done``, ``failed`` or ``quarantined``, or
+when the wait runs out (clamped to :data:`MAX_WAIT_SECONDS`), or at once
+when the service starts to shut down. The wait sleeps on the embedded
+drainers' completion signal and re-reads the store every few
+milliseconds, so it also sees jobs that external ``repro worker``
+processes finish.
+
 Everything is ``http.server`` + ``json`` — no web framework, so the
 service runs anywhere the package does. The HTTP layer is deliberately
 thin: every handler delegates to :class:`~repro.service.store.JobStore`
 / :class:`~repro.service.queue.JobQueue` (and, for synchronous solves,
 an in-process :class:`repro.api.Session`), which own all state.
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY``; bodies are
+compact JSON. ``shutdown()`` ends the keep-alive connections it
+accepted, so a client's pooled connection never outlives the service.
 
 Observability: every request enters a trace context — the ``X-Trace-Id``
 header when the client sent a valid one, a fresh id otherwise. The id is
@@ -70,6 +83,8 @@ process-wide registry served at ``GET /v1/metrics``.
 from __future__ import annotations
 
 import json
+import math
+import socket
 import threading
 import time
 from dataclasses import replace
@@ -92,8 +107,8 @@ from .queue import JOBS_ACTIVE, QUEUE_DEPTH, JobQueue
 from .storage import StoreBackend, open_store
 from .store import JOB_STATUSES
 
-__all__ = ["SchedulingService", "serve",
-           "API_VERSION", "MAX_BODY_BYTES", "SYNC_SOLVE_MAX_JOBS"]
+__all__ = ["SchedulingService", "serve", "API_VERSION", "MAX_BODY_BYTES",
+           "MAX_WAIT_SECONDS", "SYNC_SOLVE_MAX_JOBS"]
 
 NDJSON = "application/x-ndjson"
 
@@ -106,6 +121,9 @@ MAX_BODY_BYTES = 1 << 20
 #: ``POST /v1/solve`` is for interactive-scale instances; bigger ones
 #: must go through the asynchronous job queue.
 SYNC_SOLVE_MAX_JOBS = 512
+
+#: Longest ``GET /v1/jobs/{id}?wait=`` hold; larger waits are clamped.
+MAX_WAIT_SECONDS = 30.0
 
 #: Jobs-per-page bounds for ``GET /v1/jobs``.
 DEFAULT_PAGE_LIMIT = 50
@@ -250,6 +268,10 @@ def _split_version(path: str) -> tuple[bool, str]:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # headers and body go out as two small segments; with Nagle on, the
+    # second waits for the client's delayed ACK (~40 ms per keep-alive
+    # request)
+    disable_nagle_algorithm = True
     server: "_HTTPServer"
 
     #: Set per request: False while serving a legacy (unversioned) alias,
@@ -269,12 +291,34 @@ class _Handler(BaseHTTPRequestHandler):
         # ``http_request`` event emitted from _handle
         pass
 
+    def handle_one_request(self) -> None:
+        # the connection is idle until a request line arrives; a closing
+        # server may shut it down then (see _HTTPServer.close_connections)
+        if self.server.mark_idle(self.connection, True):
+            super().handle_one_request()
+        else:
+            self.close_connection = True
+
+    def parse_request(self) -> bool:
+        if not self.server.mark_idle(self.connection, False):
+            # read just as the server closed: drop it unanswered, so a
+            # GET is retried elsewhere and a POST fails without running
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
+    def finish(self) -> None:
+        self.server.mark_idle(self.connection, False)
+        super().finish()
+
     def _send_payload(self, data: bytes, content_type: str,
                       status: int = 200) -> None:
         self._status = status
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        if self.server.closing:
+            self.send_header("Connection", "close")
         if self._trace_id:
             self.send_header(TRACE_HEADER, self._trace_id)
         if not self._v1:
@@ -290,8 +334,8 @@ class _Handler(BaseHTTPRequestHandler):
             # every /v1 JSON body carries the request's trace id; a job
             # dict that already has its own (submission-time) id keeps it
             payload["trace_id"] = self._trace_id
-        self._send_payload(json.dumps(payload, indent=2).encode() + b"\n",
-                           "application/json", status)
+        self._send_payload(_compact(payload) + b"\n", "application/json",
+                           status)
 
     def _send_api_error(self, exc: _ApiError) -> None:
         if self._v1:
@@ -337,6 +381,20 @@ class _Handler(BaseHTTPRequestHandler):
                 k, _, v = pair.partition("=")
                 params[k] = v
         return path.rstrip("/") or "/", params
+
+    @staticmethod
+    def _wait_param(params: dict[str, str]) -> float:
+        """``?wait=`` in seconds, clamped to ``MAX_WAIT_SECONDS``."""
+        raw = params.get("wait", "0")
+        try:
+            wait = float(raw)
+        except ValueError:
+            wait = math.nan
+        if not math.isfinite(wait) or wait < 0:
+            raise _bad("invalid_request",
+                       f"'wait' must be a finite number of seconds >= 0, "
+                       f"got {raw!r}")
+        return min(wait, MAX_WAIT_SECONDS)
 
     def _int_param(self, params: dict[str, str], key: str,
                    default: int, lo: int = 0,
@@ -422,7 +480,7 @@ class _Handler(BaseHTTPRequestHandler):
             return self._get_jobs(params)
         parts = sub.lstrip("/").split("/")
         if parts[0] == "jobs" and len(parts) == 2:
-            return self._get_job(parts[1])
+            return self._get_job(parts[1], params)
         if parts[0] == "jobs" and len(parts) == 3 and parts[2] == "reports":
             return self._get_reports(parts[1], params)
         if parts[0] == "results" and len(parts) == 2:
@@ -497,8 +555,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"request": request.to_dict(),
                          "report": report.to_dict()})
 
-    def _get_job(self, job_id: str) -> None:
-        job = self.server.service.store.get_job(job_id)
+    def _get_job(self, job_id: str, params: dict[str, str]) -> None:
+        wait = self._wait_param(params)
+        service = self.server.service
+        job = (service.queue.wait_terminal(job_id, wait) if wait
+               else service.store.get_job(job_id))
         if job is None:
             raise _ApiError(404, "not_found", f"no job {job_id!r}")
         self._send_json(job.to_dict())
@@ -517,7 +578,7 @@ class _Handler(BaseHTTPRequestHandler):
         ndjson = params.get("format") == "ndjson" or \
             NDJSON in (self.headers.get("Accept") or "")
         if ndjson:
-            data = b"".join(json.dumps(r.to_dict()).encode() + b"\n"
+            data = b"".join(_compact(r.to_dict()) + b"\n"
                             for r in reports)
             return self._send_payload(data, NDJSON)
         self._send_json({"job_id": job_id, "status": job.status,
@@ -525,12 +586,44 @@ class _Handler(BaseHTTPRequestHandler):
                          "reports": [r.to_dict() for r in reports]})
 
 
+def _compact(payload: Any) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode()
+
+
 class _HTTPServer(ThreadingHTTPServer):
     daemon_threads = True
-    # dozens of clients poll concurrently; the stdlib default backlog of
-    # 5 drops connections under exactly the load the service exists for
+    # dozens of clients connect concurrently; the stdlib default backlog
+    # of 5 drops connections under exactly the load the service exists for
     request_queue_size = 128
     service: "SchedulingService"
+
+    def __init__(self, *args: Any) -> None:
+        super().__init__(*args)
+        self.closing = False
+        self._conn_lock = threading.Lock()
+        self._idle: set[socket.socket] = set()
+
+    def mark_idle(self, conn: socket.socket, idle: bool) -> bool:
+        """Record whether a keep-alive connection is between requests;
+        False once the server is closing."""
+        with self._conn_lock:
+            if idle:
+                self._idle.add(conn)
+            else:
+                self._idle.discard(conn)
+            return not self.closing
+
+    def close_connections(self) -> None:
+        """End every keep-alive connection: idle ones now, busy ones
+        after their response (sent with ``Connection: close``)."""
+        with self._conn_lock:
+            self.closing = True
+            idle, self._idle = self._idle, set()
+        for conn in idle:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:     # the peer hung up first
+                pass
 
 
 class SchedulingService:
@@ -644,13 +737,16 @@ class SchedulingService:
         return self
 
     def shutdown(self, *, drain_grace: float | None = None) -> None:
-        """Stop serving. The HTTP front door closes first (no new work),
-        then the queue drains: without ``drain_grace``, until every
-        in-flight job finishes; with it, at most that many seconds — the
-        leases of jobs still running are then released back to the store
-        untouched, for the next start (or another node) to pick up."""
+        """Stop serving. The HTTP front door closes first (no new work,
+        keep-alive connections ended, pending long-polls answered with
+        the job's current record), then the queue drains: without
+        ``drain_grace``, until every in-flight job finishes; with it, at
+        most that many seconds — the leases of jobs still running are
+        then released back to the store untouched, for the next start
+        (or another node) to pick up."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections()
         if self._thread is not None:
             self._thread.join()
         self.released = self.queue.stop(wait=True, grace=drain_grace)

@@ -48,11 +48,16 @@ from ..faults.injection import FaultInjected
 from ..obs.log import get_logger
 from ..obs.metrics import REGISTRY
 from ..obs.trace import trace_context
-from .store import JobRecord
+from .store import TERMINAL_STATUSES, JobRecord
 
 __all__ = ["WorkerNode", "run_worker", "retryable"]
 
 _log = get_logger("repro.service.worker")
+
+#: How often :meth:`WorkerNode.wait_terminal` re-reads the store while no
+#: local drainer finishes anything: jobs run by other processes sharing
+#: the store (``repro worker``) signal nothing here.
+STORE_REREAD_SECONDS = 0.02
 
 QUEUE_DEPTH = REGISTRY.gauge(
     "repro_queue_depth", "Jobs waiting in the queue (in-flight excluded).")
@@ -167,6 +172,9 @@ class WorkerNode:
         self._supervisor: threading.Thread | None = None
         self._inflight: set[str] = set()
         self._active = 0
+        #: Jobs this node's drainers have let go of (any outcome); read
+        #: and waited on under ``_cv`` by :meth:`wait_terminal`.
+        self._finished = 0
         self._stopping = False
         self._names = itertools.count()
 
@@ -245,6 +253,30 @@ class WorkerNode:
         with self._cv:
             return self._active
 
+    def wait_terminal(self, job_id: str,
+                      timeout: float) -> JobRecord | None:
+        """The job's record once it is terminal, or its current record
+        after ``timeout`` seconds or when the node stops (``None`` for an
+        unknown id).
+
+        Sleeps on the condition the drainers notify after each job, and
+        re-reads the store every :data:`STORE_REREAD_SECONDS` to see jobs
+        finished elsewhere. The completion counter is read before the
+        store, so a job that finishes in between still wakes the wait."""
+        deadline = time.monotonic() + timeout
+        while True:
+            with self._cv:
+                seen, stopping = self._finished, self._stopping
+            job = self.store.get_job(job_id)
+            left = deadline - time.monotonic()
+            if job is None or job.status in TERMINAL_STATUSES \
+                    or left <= 0 or stopping:
+                return job
+            with self._cv:
+                self._cv.wait_for(
+                    lambda: self._finished != seen or self._stopping,
+                    timeout=min(left, STORE_REREAD_SECONDS))
+
     def join(self, timeout: float | None = None) -> bool:
         """Block until the store holds no claimable work and this node is
         idle. Other nodes' in-flight jobs are invisible here — fleet
@@ -300,6 +332,7 @@ class WorkerNode:
                 with self._cv:
                     self._inflight.discard(job.id)
                     self._active -= 1
+                    self._finished += 1
                     JOBS_ACTIVE.set(self._active)
                     self._cv.notify_all()
 

@@ -1,5 +1,7 @@
 """Tests for the preemptive PTAS (Theorem 19)."""
 
+from fractions import Fraction
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -32,6 +34,14 @@ class TestGuarantee:
         inst = uniform_instance(rng, n=8, C=3, m=2, c=2, p_hi=12)
         res = ptas_preemptive(inst, delta=2)
         assert float(res.guess) <= opt_preemptive(inst) + 1 + 1e-6
+
+    def test_guess_is_certified_below_fractional_opt(self):
+        # c >= C, so McNaughton reaches the area bound 77/4 = OPT; the
+        # accepted integral guess 20 is above it, the certificate is not
+        inst = Instance((9, 11, 11, 9, 9, 9, 11, 8),
+                        (0, 1, 1, 0, 2, 0, 2, 1), 4, 4)
+        res = ptas_preemptive(inst, delta=2)
+        assert res.guess <= Fraction(77, 4) <= res.makespan
 
     def test_never_parallel_with_itself(self):
         # heavy jobs that must be layered across machines

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Instance, validate
+from repro.core.bounds import splittable_lower_bound
 from repro.core.errors import CapacityExceededError
 from repro.exact import opt_splittable
 from repro.ptas.splittable import ptas_splittable
@@ -46,6 +47,14 @@ class TestGuarantee:
         res = ptas_splittable(inst, delta=3)
         # geometric search: guess <= (1+delta) * OPT
         assert float(res.guess) <= (1 + 1 / 3) * opt_splittable(inst) + 1e-6
+
+    def test_guess_is_certified(self):
+        for seed in range(4):
+            inst = uniform_instance(np.random.default_rng(seed), n=9, C=3,
+                                    m=3, c=2, p_hi=12)
+            res = ptas_splittable(inst, delta=2)
+            assert float(res.guess) <= opt_splittable(inst) + 1e-6
+            assert splittable_lower_bound(inst) <= res.guess <= res.makespan
 
 
 class TestInterface:

@@ -23,8 +23,9 @@ def service(tmp_path):
 
 
 @pytest.fixture
-def client(service) -> ServiceClient:
-    return ServiceClient(service.url)
+def client(service):
+    with ServiceClient(service.url) as client:
+        yield client
 
 
 @pytest.fixture

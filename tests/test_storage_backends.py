@@ -207,8 +207,9 @@ class TestSqliteConcurrency:
             t.join()
         assert sorted(wins["a"] + wins["b"]) == sorted(j.id for j in jobs)
         assert not set(wins["a"]) & set(wins["b"])
+        # one thread may drain all 50 first; the other then has no row
         total = b.claims_by_worker()
-        assert total["a"] + total["b"] == 50
+        assert total.get("a", 0) + total.get("b", 0) == 50
         a.close()
         b.close()
 
