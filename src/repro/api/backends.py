@@ -176,6 +176,10 @@ class RemoteBackend:
                        else ServiceClient(target))
         self.wait_timeout = wait_timeout
 
+    def close(self) -> None:
+        """Close the client's idle pooled connections."""
+        self.client.close()
+
     def solve(self, request: SolveRequest) -> SolveReport:
         return self.client.solve(request)
 

@@ -15,6 +15,7 @@ backends and exposes the whole system as three verbs::
     reports = s.solve_batch(suite, algorithms=["splittable", "lpt"])
     for report in s.stream(suite, algorithms=["splittable"]):
         ...                             # reports as they complete
+    s.close()                           # or ``with Session(...) as s:``
 
 The CLI, the examples, the benchmarks and the service's own queue
 drainers all dispatch through this class, so every surface shares one
@@ -87,6 +88,21 @@ class Session:
 
     def __repr__(self) -> str:    # pragma: no cover - cosmetic
         return f"Session(backend={self.backend.name!r})"
+
+    def close(self) -> None:
+        """Release what this session holds: a remote session closes its
+        client's pooled connections. The engine's process pool is shared
+        by every session in the process and stays up
+        (:func:`repro.engine.pool.shutdown_pool` stops it)."""
+        close = getattr(self.backend, "close", None)
+        if close is not None:
+            close()
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # the three verbs

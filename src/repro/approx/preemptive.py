@@ -67,6 +67,9 @@ def solve_preemptive(inst: Instance) -> PreemptiveResult:
     rows = round_robin_assignment(sizes, m)
 
     sched = PreemptiveSchedule(m)
+    # a machine's pieces run back to back, so its final clock is its
+    # last piece's end and the largest final clock is the makespan
+    makespan = Fraction(0)
     for machine_pos, items in enumerate(rows):
         clock = Fraction(0)
         for rank, item in enumerate(items):
@@ -78,7 +81,7 @@ def solve_preemptive(inst: Instance) -> PreemptiveResult:
             for job, amount in subs[item].pieces:
                 sched.assign(machine_pos, job, clock, amount)
                 clock += amount
-    makespan = sched.makespan()
+        makespan = max(makespan, clock)
     return PreemptiveResult(schedule=sched, guess=T, lower_bound=lb,
                             makespan=makespan)
 
@@ -90,4 +93,4 @@ def _one_job_per_machine(inst: Instance) -> PreemptiveResult:
         sched.assign(j, j, 0, p)
     lb = Fraction(inst.pmax)
     return PreemptiveResult(schedule=sched, guess=lb, lower_bound=lb,
-                            makespan=sched.makespan(), optimal=True)
+                            makespan=lb, optimal=True)

@@ -31,7 +31,7 @@ from .compact import CompactSplittableSchedule
 from .round_robin import round_robin_assignment
 from .splitting import split_classes
 
-__all__ = ["SplittableResult", "solve_splittable"]
+__all__ = ["SplittableResult", "solve_splittable", "splittable_value"]
 
 #: Above this many sub-classes the solver switches to the compact
 #: representation. Any instance with m <= n stays far below it.
@@ -58,6 +58,48 @@ class SplittableResult:
         return self.makespan / self.guess if self.guess > 0 else Fraction(0)
 
 
+def _guess(inst: Instance) -> tuple[Fraction, Fraction]:
+    """``(T, lower_bound)`` for a normalized feasible instance: Lemma 2's
+    border search from the area bound."""
+    m, c = inst.machines, inst.class_slots
+    lb = area_bound(inst)
+    T = advanced_binary_search(inst.class_loads(), m, c * m, lb)
+    if T is None:    # pragma: no cover — ruled out by require_feasible
+        raise InfeasibleInstanceError(inst.num_classes, c * m)
+    return T, lb
+
+
+def splittable_value(inst: Instance) -> tuple[Fraction, Fraction]:
+    """``(guess, makespan)`` of :func:`solve_splittable`, without building
+    its schedule.
+
+    Round robin puts each round's largest sub-class on machine 0, so
+    machine 0 carries the makespan: the sum of the non-ascending
+    sub-class loads at positions ``0, m, 2m, ...``. Cutting class ``u``
+    at ``T`` yields ``floor(P_u / T)`` full sub-classes of load ``T``,
+    which sort first, plus one remainder when ``T`` does not divide
+    ``P_u``; the full ones are counted, never listed, so the cost is
+    ``O(C log C)`` however large ``m`` is.
+    """
+    inst = inst.normalized()
+    inst.require_feasible()
+    T, _ = _guess(inst)
+    num, den = T.numerator, T.denominator
+    m = inst.machines
+    full = 0
+    remainders = []                 # in units of 1/den
+    for P in inst.class_loads():
+        k, rem = divmod(P * den, num)
+        full += k
+        if rem:
+            remainders.append(rem)
+    remainders.sort(reverse=True)
+    rounds_in_full = -(-full // m)  # positions 0, m, ... below `full`
+    units = rounds_in_full * num + sum(
+        remainders[rounds_in_full * m - full::m])
+    return T, Fraction(units, den)
+
+
 def solve_splittable(inst: Instance,
                      piece_cap: int = DEFAULT_PIECE_CAP) -> SplittableResult:
     """Run Algorithm 1 on ``inst``.
@@ -68,11 +110,7 @@ def solve_splittable(inst: Instance,
     inst = inst.normalized()
     inst.require_feasible()
     loads = inst.class_loads()
-    m, c = inst.machines, inst.class_slots
-    lb = area_bound(inst)
-    T = advanced_binary_search(loads, m, c * m, lb)
-    if T is None:    # pragma: no cover — ruled out by require_feasible
-        raise InfeasibleInstanceError(inst.num_classes, c * m)
+    T, lb = _guess(inst)
 
     n_sub = split_count(loads, T)
     # Explicit whenever feasible; the compact two-row layout is only valid

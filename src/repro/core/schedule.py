@@ -122,6 +122,18 @@ class SplittableSchedule(_SparseMachineSchedule):
             for piece in self._machines[i]:
                 yield i, piece
 
+    def piece_columns(self) -> tuple[list[int], list[int], list[int],
+                                     list[int]]:
+        """Every piece as parallel columns ``(jobs, machines,
+        amount_numerators, amount_denominators)``, in no particular
+        order: the input of the int64 validation sweep."""
+        pieces = [p for ps in self._machines.values() for p in ps]
+        amounts = [p.amount for p in pieces]
+        return ([p.job for p in pieces],
+                [i for i, ps in self._machines.items() for _ in ps],
+                [a.numerator for a in amounts],
+                [a.denominator for a in amounts])
+
     def load(self, machine: int) -> Fraction:
         if fast_paths_enabled():
             return sum_fractions(
@@ -207,6 +219,22 @@ class PreemptiveSchedule(_SparseMachineSchedule):
         for i in sorted(self._machines):
             for piece in self.pieces_on(i):
                 yield i, piece
+
+    def piece_columns(self) -> tuple[list[int], list[int], list[int],
+                                     list[int], list[int], list[int]]:
+        """Every piece as parallel columns ``(jobs, machines,
+        start_numerators, start_denominators, amount_numerators,
+        amount_denominators)``, unsorted: the input of the int64
+        validation sweep, read without :meth:`pieces_on`'s sort."""
+        pieces = [p for ps in self._machines.values() for p in ps]
+        starts = [p.start for p in pieces]
+        amounts = [p.amount for p in pieces]
+        return ([p.job for p in pieces],
+                [i for i, ps in self._machines.items() for _ in ps],
+                [s.numerator for s in starts],
+                [s.denominator for s in starts],
+                [a.numerator for a in amounts],
+                [a.denominator for a in amounts])
 
     def load(self, machine: int) -> Fraction:
         if fast_paths_enabled():

@@ -6,12 +6,14 @@ the preemptive regime non-overlap of same-job pieces and same-machine
 pieces). Tests always validate through this module rather than trusting the
 producing algorithm — a deliberate separation of construction and checking.
 
-All checks are exact. The non-preemptive validator has a vectorised fast
-path (``numpy`` scatter/unique over the assignment) used when the
-magnitudes provably fit int64; the fractional validators route their load
-accounting through :mod:`repro.core.fastmath`'s grouped exact sums. On any
-violation the fast paths re-run the scalar reference checks so error
-messages are identical byte for byte.
+All checks are exact. Every validator has a vectorised fast path used
+when the magnitudes provably fit int64: ``numpy`` scatter/unique over the
+assignment for non-preemptive schedules, and for the fractional regimes
+the stacked sweep of :mod:`repro.core.batchkernels`, which puts piece
+amounts (and start times) on one common denominator. On any violation or
+guard trip the fast paths re-run the scalar reference checks so error
+messages are identical byte for byte; ``use_fast_paths(False)`` runs the
+reference checks alone.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .batchkernels import preemptive_ok_many, splittable_ok_many
 from .errors import InfeasibleScheduleError
 from .fastmath import fast_paths_enabled
 from .instance import Instance
@@ -43,6 +46,19 @@ def _check_class_slots(classes_on_machine: set[int], c: int,
             machine=machine)
 
 
+def _int64_makespan(kernel, inst: Instance,
+                    sched: SplittableSchedule | PreemptiveSchedule
+                    ) -> Fraction | None:
+    """The int64 sweep's verdict on one schedule: its makespan when it
+    provably passes, ``None`` when the scalar checks must run (fast paths
+    off, a violation to report, or a guard trip)."""
+    if not fast_paths_enabled():
+        return None
+    (makespan,) = kernel([(*sched.piece_columns(), inst.processing_times,
+                           inst.classes, inst.machines, inst.class_slots)])
+    return makespan
+
+
 def validate_splittable(inst: Instance, sched: SplittableSchedule) -> Fraction:
     """Validate a splittable schedule; return its makespan.
 
@@ -54,6 +70,9 @@ def validate_splittable(inst: Instance, sched: SplittableSchedule) -> Fraction:
         raise InfeasibleScheduleError(
             f"schedule has {sched.num_machines} machines, instance has "
             f"{inst.machines}")
+    makespan = _int64_makespan(splittable_ok_many, inst, sched)
+    if makespan is not None:
+        return makespan
     amounts = sched.job_amounts()
     for j, p in enumerate(inst.processing_times):
         got = amounts.get(j, Fraction(0))
@@ -80,6 +99,9 @@ def validate_preemptive(inst: Instance, sched: PreemptiveSchedule) -> Fraction:
         raise InfeasibleScheduleError(
             f"schedule has {sched.num_machines} machines, instance has "
             f"{inst.machines}")
+    makespan = _int64_makespan(preemptive_ok_many, inst, sched)
+    if makespan is not None:
+        return makespan
     amounts = sched.job_amounts()
     for j, p in enumerate(inst.processing_times):
         got = amounts.get(j, Fraction(0))

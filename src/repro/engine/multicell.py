@@ -142,17 +142,8 @@ def _solve_splittable_group(cells, idxs: list[int],
         norm = inst.normalized()
         if (isinstance(sched, SplittableSchedule)
                 and sched.num_machines == norm.machines):
-            jobs: list[int] = []
-            machs: list[int] = []
-            nums: list[int] = []
-            dens: list[int] = []
-            for i, piece in sched.iter_pieces():
-                jobs.append(piece.job)
-                machs.append(i)
-                nums.append(piece.amount.numerator)
-                dens.append(piece.amount.denominator)
             stacked.append(rec)
-            kernel_cells.append((jobs, machs, nums, dens,
+            kernel_cells.append((*sched.piece_columns(),
                                  norm.processing_times, norm.classes,
                                  norm.machines, norm.class_slots))
         else:

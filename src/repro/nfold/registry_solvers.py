@@ -199,14 +199,14 @@ def run_nfold_splittable(inst: Instance, epsilon=None, delta=None) -> RawSolve:
     ``T`` certifies a schedule of makespan ``(1+4 delta) T`` (the rounded
     budget), rejection certifies ``OPT > T``.
     """
-    from ..approx.splittable import solve_splittable
+    from ..approx.splittable import splittable_value
     inst = inst.normalized()
     inst.require_feasible()
     _require_machine_cap(inst)
     q = _resolve_q(epsilon, delta)
     dlt = Fraction(1, q)
-    warm = solve_splittable(inst)
-    lb, ub = Fraction(warm.guess), Fraction(warm.makespan)
+    # the warm window needs Theorem 4's (guess, makespan), not its schedule
+    lb, ub = splittable_value(inst)
     meta: dict = {}
 
     def try_guess(T: Fraction):

@@ -287,7 +287,9 @@ def _build_schedule(inst: Instance, art: _GuessArtifact) -> PreemptiveSchedule:
                             break
             assert cur is None, "grouped job not fully scheduled"
 
-    # small classes into the idle gaps of their machine
+    # small classes into the idle gaps of their machine; each placed
+    # piece joins the machine's busy list, so the next small class on
+    # the same machine fills the gaps that remain
     for u, i in art.small_on.items():
         busy = sorted(machine_busy.get(i, []))
         gaps: list[tuple[Fraction, Fraction | None]] = []
@@ -310,9 +312,9 @@ def _build_schedule(inst: Instance, art: _GuessArtifact) -> PreemptiveSchedule:
                     continue
                 take = min(left, room)
                 sched.assign(i, j, gpos, take)
+                machine_busy.setdefault(i, []).append((gpos, gpos + take))
                 gpos += take
                 left -= take
-        machine_busy.setdefault(i, [])
     return sched
 
 

@@ -2,6 +2,9 @@
 selection, and the three interchangeable backends."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,8 @@ from repro.engine import ReportCache
 from repro.io import schedule_from_dict
 from repro.registry import (NoMatchingSolverError, UnknownSolverError,
                             find_solvers, select_solver)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 @pytest.fixture
@@ -326,3 +331,74 @@ class TestSessionLocal:
         assert Session(backend).backend is backend
         with pytest.raises(ValueError, match="ignored when passing"):
             Session(backend, workers=3)
+
+
+# --------------------------------------------------------------------- #
+# Session.close
+# --------------------------------------------------------------------- #
+
+#: Drives a remote session against an in-process service; run under
+#: ``-W error::ResourceWarning``, so a pooled connection left open when
+#: the session is collected prints "ResourceWarning: unclosed <socket".
+_REMOTE_SESSION_SCRIPT = """
+import gc, sys
+from repro import Instance
+from repro.api import Session
+from repro.service import SchedulingService
+
+svc = SchedulingService("memory://", port=0, drainers=1).start()
+try:
+    inst = Instance((5, 3, 8, 6, 2), (0, 0, 1, 2, 2), 2, 2)
+    session = Session(svc.url)
+    if sys.argv[1] == "close":
+        with session:
+            session.solve(inst, algorithm="lpt")
+            session.solve_batch([("a", inst)], algorithms=["splittable"])
+    else:
+        session.solve(inst, algorithm="lpt")
+        session.solve_batch([("a", inst)], algorithms=["splittable"])
+    del session
+    gc.collect()
+finally:
+    svc.shutdown()
+print("done")
+"""
+
+
+def _run_remote_session(mode: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c",
+         _REMOTE_SESSION_SCRIPT, mode],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestSessionClose:
+    def test_closed_remote_session_leaks_no_connection(self):
+        proc = _run_remote_session("close")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "done"
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+    def test_unclosed_remote_session_is_detected(self):
+        # the control: the same script without close() does leak, so the
+        # check above can fail
+        proc = _run_remote_session("leak")
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning: unclosed <socket" in proc.stderr
+
+    def test_close_leaves_the_engine_pool_up(self, inst, other):
+        from repro.engine.pool import pool_id
+        with Session(workers=2) as session:
+            got = list(session.stream([("a", inst), ("b", other)],
+                                      algorithms=["lpt"]))
+            live = pool_id()
+        assert len(got) == 2
+        assert live is not None and pool_id() == live
+
+    def test_close_is_a_no_op_for_local_sessions(self, inst):
+        session = Session()
+        session.close()
+        assert session.solve(inst, algorithm="lpt").status == "ok"

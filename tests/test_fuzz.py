@@ -1,12 +1,14 @@
 """Tests for the differential fuzzing subsystem itself."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro import Instance
 from repro.api import Session
+from repro.faults.injection import FaultInjected
 from repro.fuzz import (GENERATORS, CorpusCase, draw_case, load_corpus_file,
                         run_campaign, run_oracle, save_corpus_file,
                         shrink_instance)
@@ -15,6 +17,27 @@ from repro.fuzz.oracles import (DEFAULT_SOLVERS, Violation,
                                 eligible_solvers, ground_truth,
                                 reports_oracle)
 from repro.registry import get_solver
+
+
+@pytest.fixture(autouse=True)
+def drainer_deaths(monkeypatch) -> list[threading.ExceptHookArgs]:
+    """Campaigns run the faults oracle on every fifth small case, and its
+    injected ``drainer_loop`` faults kill drainer threads by design; how
+    many die depends on lease timing. Collect those deaths for the test
+    to assert on; any other thread exception goes to the previous hook,
+    which reports it."""
+    deaths: list[threading.ExceptHookArgs] = []
+    previous = threading.excepthook
+
+    def hook(args: threading.ExceptHookArgs) -> None:
+        if (isinstance(args.exc_value, FaultInjected)
+                and args.exc_value.site == "drainer_loop"):
+            deaths.append(args)
+        else:
+            previous(args)
+
+    monkeypatch.setattr(threading, "excepthook", hook)
+    return deaths
 
 
 class TestGenerators:
@@ -239,7 +262,8 @@ class TestFuzzCLI:
             main(["fuzz", "--solvers", "nope", "--count", "1"])
 
     def test_cli_writes_artifacts_on_violation(self, tmp_path,
-                                               monkeypatch, capsys):
+                                               monkeypatch, capsys,
+                                               drainer_deaths):
         import repro.approx.splittable as mod
         from repro.__main__ import main
 
@@ -252,6 +276,11 @@ class TestFuzzCLI:
                    "--solvers", "splittable", "--no-shrink",
                    "--artifacts", str(artifacts)])
         assert rc == 1
+        # this seed's faults-oracle replay loses drainers to its
+        # injected faults
+        assert drainer_deaths, "the faults oracle killed no drainer"
+        assert all(d.thread.name.startswith("repro-drainer")
+                   for d in drainer_deaths)
         written = list(artifacts.glob("*.json"))
         assert written, "no counterexample artifact written"
         case = load_corpus_file(str(written[0]))

@@ -207,3 +207,18 @@ class TestObservability:
         text = REGISTRY.render()
         assert "# TYPE repro_nfold_augment_rounds histogram" in text
         assert "# TYPE repro_nfold_guesses_tried histogram" in text
+
+
+class TestSplittableWarmStart:
+    def test_m4096_builds_no_explicit_schedule(self, monkeypatch):
+        # the warm window needs only Theorem 4's (guess, makespan); the
+        # explicit round robin layout of 4096 machines is never built
+        import repro.approx.splittable as approx
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_build_explicit called")
+
+        monkeypatch.setattr(approx, "_build_explicit", refuse)
+        rep = execute(LARGE_M.with_machines(4096), "nfold-splittable")
+        assert rep.status == "ok", (rep.status, rep.error)
+        assert Fraction(rep.guess) <= Fraction(rep.makespan)

@@ -7,7 +7,7 @@ import pytest
 
 from repro import Instance, InfeasibleInstanceError, validate
 from repro.approx.compact import CompactSplittableSchedule
-from repro.approx.splittable import solve_splittable
+from repro.approx.splittable import solve_splittable, splittable_value
 from repro.core.schedule import SplittableSchedule
 from repro.exact import opt_splittable
 from repro.workloads import (adversarial_splittable_instance,
@@ -115,3 +115,49 @@ class TestHugeMachineCounts:
         res = solve_splittable(inst)
         assert time.perf_counter() - t0 < 5.0
         validate(inst, res.schedule)
+
+
+class TestValueOnly:
+    """``splittable_value`` returns ``solve_splittable``'s (guess,
+    makespan) without building a schedule."""
+
+    @staticmethod
+    def _random_instance(rng: np.random.Generator) -> Instance:
+        n = int(rng.integers(1, 14))
+        C = int(rng.integers(1, n + 1))
+        classes = list(range(C)) + [int(u) for u in rng.integers(0, C,
+                                                                 n - C)]
+        p_hi = int(rng.choice([10, 40, 10 ** 6]))
+        p = [int(x) for x in rng.integers(1, p_hi, n)]
+        m = int(rng.choice([1, 2, 3, int(rng.integers(1, 40)),
+                            n + int(rng.integers(1, 10)),
+                            10 ** int(rng.integers(3, 13))]))
+        return Instance.create(p, classes, m, int(rng.integers(1, C + 1)))
+
+    def test_matches_solve_splittable(self):
+        rng = np.random.default_rng(2024)
+        seen = {"m=1": 0, "m>n": 0, "compact": 0}
+        checked = 0
+        while checked < 400:
+            inst = self._random_instance(rng)
+            if not inst.normalized().is_feasible():
+                continue
+            # a tiny piece cap forces the compact layout whenever m > n
+            cap = 4 if checked % 3 == 0 else 500_000
+            res = solve_splittable(inst, piece_cap=cap)
+            assert splittable_value(inst) == (res.guess, res.makespan), inst
+            checked += 1
+            seen["m=1"] += inst.machines == 1
+            seen["m>n"] += inst.machines > inst.num_jobs
+            seen["compact"] += isinstance(res.schedule,
+                                          CompactSplittableSchedule)
+        assert min(seen.values()) >= 20, seen
+
+    def test_huge_m(self):
+        inst = Instance(tuple([10**9] * 10), tuple(range(10)), 2**60, 2)
+        res = solve_splittable(inst)
+        assert splittable_value(inst) == (res.guess, res.makespan)
+
+    def test_infeasible_raises(self):
+        with pytest.raises(InfeasibleInstanceError):
+            splittable_value(Instance((1, 1), (0, 1), 1, 1))
