@@ -424,8 +424,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import (compare_results, load_results, run_suite,
-                       write_results)
+    from .perf import (build_mismatch, build_stamp, compare_results,
+                       load_results, run_suite, write_results)
     baseline = None
     if args.baseline:
         # validate before burning minutes of bench time
@@ -435,6 +435,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise SystemExit(f"error: baseline not found: {args.baseline}")
         except (ValueError, json.JSONDecodeError) as exc:
             raise SystemExit(f"error: bad baseline {args.baseline}: {exc}")
+        mismatch = build_mismatch({"build": build_stamp()}, baseline)
+        if mismatch:
+            raise SystemExit(f"error: {args.baseline}: {mismatch}")
     try:
         run = run_suite(args.suite, repeats=args.repeats,
                         progress=lambda line: print(line, file=sys.stderr))
@@ -848,7 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="where to write the results JSON")
     pf.add_argument("--baseline", metavar="PATH",
                     help="compare against this committed results file; "
-                         "exit 1 on any bench beyond --fail-over")
+                         "exit 1 on any bench beyond --fail-over, or at "
+                         "once when it was measured on a different build")
     pf.add_argument("--warn-over", type=float, default=1.25,
                     help="warn when current/baseline min time exceeds "
                          "this ratio")

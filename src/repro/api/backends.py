@@ -17,12 +17,13 @@ never changes what a caller sees, only where the work runs.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Iterator
 
 from ..core.fastmath import fast_paths_enabled
 from ..engine import DEFAULT_WORKERS, execute, run_batch
 from ..resultcache import cache_key, is_cacheable, relabel_hit
-from ..engine.pool import submit_task
+from ..engine.pool import rebuild_pool, submit_task
 from ..engine.report import SolveReport
 from ..engine.runner import SOLVE_SECONDS, execute_in_worker
 from ..obs.trace import current_trace_id
@@ -128,28 +129,47 @@ class ProcessPoolBackend(InProcessBackend):
         queue = iter(pending)
         live: dict = {}
 
-        def submit_next() -> None:
-            item = next(queue, None)
-            if item is None:
-                return
-            key, label, inst, name, kwargs = item
+        def submit(item) -> None:
+            _, label, inst, name, kwargs = item
             fut = submit_task(width, execute_in_worker, inst, name, kwargs,
                               label=label, timeout=batch.timeout,
                               fast_paths=fast, trace_id=tid)
-            live[fut] = key
+            live[fut] = item
+
+        def submit_next() -> None:
+            item = next(queue, None)
+            if item is not None:
+                submit(item)
         for _ in range(width):
             submit_next()
+        rebuilt = False
         while live:
             done, _ = wait(live, return_when=FIRST_COMPLETED)
             for fut in done:
-                key = live.pop(fut)
-                rep = fut.result()
+                item = live.pop(fut)
+                try:
+                    rep = fut.result()
+                except BrokenProcessPool:
+                    # a worker died, as in run_batch: rebuild the shared
+                    # pool once per call and resubmit this cell and every
+                    # cell still in flight (their futures broke too); a
+                    # second death propagates
+                    if rebuilt:
+                        raise
+                    rebuilt = True
+                    outstanding = [item, *live.values()]
+                    live.clear()
+                    rebuild_pool(width)
+                    for again in outstanding:
+                        submit(again)
+                    break
                 # the worker observed into its own (lost) registry; record
                 # the solve in the parent's
                 SOLVE_SECONDS.observe(rep.wall_time_s,
                                       algorithm=rep.algorithm,
                                       status=rep.status)
                 submit_next()
+                key = item[0]
                 if self.cache is not None and is_cacheable(rep):
                     self.cache.put(key, rep)
                 yield rep

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from ..core.bounds import area_bound
 from ..core.errors import InfeasibleInstanceError
+from ..core.fastmath import fast_paths_enabled
 from ..core.instance import Instance
 from ..core.schedule import PreemptiveSchedule
 from .borders import advanced_binary_search
 from .round_robin import round_robin_assignment
-from .splitting import split_classes
+from .splitting import cut_units, split_classes
 
 __all__ = ["PreemptiveResult", "solve_preemptive"]
 
@@ -61,12 +63,53 @@ def solve_preemptive(inst: Instance) -> PreemptiveResult:
     if T is None:    # pragma: no cover — ruled out by require_feasible
         raise InfeasibleInstanceError(inst.num_classes, c * m)
 
+    build = _build if fast_paths_enabled() else _build_reference
+    sched, makespan = build(inst, T)
+    return PreemptiveResult(schedule=sched, guess=T, lower_bound=lb,
+                            makespan=makespan)
+
+
+def _build(inst: Instance, T: Fraction
+           ) -> tuple[PreemptiveSchedule, Fraction]:
+    """Round robin the sub-classes, with Algorithm 2's shift, on the
+    cut's integer units of ``1/den``; one bulk call emits the schedule.
+    Returns it with its makespan, the largest final machine clock."""
+    num, den = T.numerator, T.denominator
+    cut = cut_units(inst, num, den)
+    bounds, loads = cut.bounds, cut.loads
+    any_full = num in loads
+    jobs: list[int] = []
+    machines: list[int] = []
+    starts: list[int] = []
+    amounts: list[int] = []
+    makespan = 0                    # units of 1/den, like every clock
+    for machine_pos, items in enumerate(
+            round_robin_assignment(loads, inst.machines)):
+        clock = 0
+        for rank, item in enumerate(items):
+            if rank == 1 and any_full and clock < num:
+                clock = num         # Algorithm 2, see _build_reference
+            lo, hi = bounds[item], bounds[item + 1]
+            jobs += cut.jobs[lo:hi]
+            amounts += cut.units[lo:hi]
+            starts += accumulate(cut.units[lo:hi - 1], initial=clock)
+            clock += loads[item]
+        machines += [machine_pos] * (len(jobs) - len(machines))
+        makespan = max(makespan, clock)
+    sched = PreemptiveSchedule.from_units(inst.machines, jobs, machines,
+                                          starts, amounts, den=den)
+    return sched, Fraction(makespan, den)
+
+
+def _build_reference(inst: Instance, T: Fraction
+                     ) -> tuple[PreemptiveSchedule, Fraction]:
+    """The per-piece ``Fraction`` construction (reference path)."""
     subs = split_classes(inst, T)
     any_full = any(s.is_full for s in subs)
     sizes = [s.load for s in subs]
-    rows = round_robin_assignment(sizes, m)
+    rows = round_robin_assignment(sizes, inst.machines)
 
-    sched = PreemptiveSchedule(m)
+    sched = PreemptiveSchedule(inst.machines)
     # a machine's pieces run back to back, so its final clock is its
     # last piece's end and the largest final clock is the makespan
     makespan = Fraction(0)
@@ -82,15 +125,20 @@ def solve_preemptive(inst: Instance) -> PreemptiveResult:
                 sched.assign(machine_pos, job, clock, amount)
                 clock += amount
         makespan = max(makespan, clock)
-    return PreemptiveResult(schedule=sched, guess=T, lower_bound=lb,
-                            makespan=makespan)
+    return sched, makespan
 
 
 def _one_job_per_machine(inst: Instance) -> PreemptiveResult:
     """With m >= n every job gets its own machine — optimal (makespan pmax)."""
-    sched = PreemptiveSchedule(inst.machines)
-    for j, p in enumerate(inst.processing_times):
-        sched.assign(j, j, 0, p)
+    n = inst.num_jobs
+    if fast_paths_enabled():
+        sched = PreemptiveSchedule.from_units(
+            inst.machines, range(n), range(n), [0] * n,
+            inst.processing_times)
+    else:
+        sched = PreemptiveSchedule(inst.machines)
+        for j, p in enumerate(inst.processing_times):
+            sched.assign(j, j, 0, p)
     lb = Fraction(inst.pmax)
     return PreemptiveResult(schedule=sched, guess=lb, lower_bound=lb,
                             makespan=lb, optimal=True)

@@ -16,6 +16,13 @@ __all__ = ["round_robin_assignment", "lemma3_bound", "round_robin_rows"]
 T = TypeVar("T")
 
 
+def _sorted_order(sizes: Sequence[Fraction | int]) -> list[int]:
+    """Item indices by non-ascending size, ties by index. The sizes are
+    compared as they are: ints and ``Fraction`` values compare exactly,
+    and a reversed stable sort keeps equal sizes in index order."""
+    return sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+
+
 def round_robin_assignment(sizes: Sequence[Fraction | int],
                            num_machines: int) -> list[list[int]]:
     """Assign item indices to machines via sorted round robin.
@@ -27,11 +34,10 @@ def round_robin_assignment(sizes: Sequence[Fraction | int],
     """
     if num_machines < 1:
         raise ValueError("need at least one machine")
-    order = sorted(range(len(sizes)), key=lambda i: (-Fraction(sizes[i]), i))
-    rows: list[list[int]] = [[] for _ in range(min(num_machines, len(sizes)))]
-    for pos, item in enumerate(order):
-        rows[pos % num_machines].append(item)
-    return rows
+    order = _sorted_order(sizes)
+    # machine k takes sorted positions k, k + m, k + 2m, ...
+    return [order[k::num_machines]
+            for k in range(min(num_machines, len(sizes)))]
 
 
 def round_robin_rows(sizes: Sequence[Fraction | int],
@@ -39,7 +45,7 @@ def round_robin_rows(sizes: Sequence[Fraction | int],
     """The same assignment organised by *round*: ``rows[r]`` lists the items
     placed in round ``r`` (machine ``k`` receives ``rows[r][k]``). Used by
     the figure-regeneration code, which draws rounds as stacked rows."""
-    order = sorted(range(len(sizes)), key=lambda i: (-Fraction(sizes[i]), i))
+    order = _sorted_order(sizes)
     rows = [order[r:r + num_machines]
             for r in range(0, len(order), num_machines)]
     return rows

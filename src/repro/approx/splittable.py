@@ -24,12 +24,13 @@ from fractions import Fraction
 
 from ..core.bounds import area_bound
 from ..core.errors import InfeasibleInstanceError
+from ..core.fastmath import fast_paths_enabled
 from ..core.instance import Instance
 from ..core.schedule import SplittableSchedule
 from .borders import advanced_binary_search, split_count
 from .compact import CompactSplittableSchedule
 from .round_robin import round_robin_assignment
-from .splitting import split_classes
+from .splitting import cut_units, split_classes
 
 __all__ = ["SplittableResult", "solve_splittable", "splittable_value"]
 
@@ -116,8 +117,7 @@ def solve_splittable(inst: Instance,
     # Explicit whenever feasible; the compact two-row layout is only valid
     # (and only needed) when m > n, which n_sub > 2n guarantees.
     if n_sub <= max(piece_cap, 2 * inst.num_jobs):
-        sched = _build_explicit(inst, T)
-        makespan = sched.makespan()
+        sched, makespan = _build_explicit(inst, T)
     else:
         sched = CompactSplittableSchedule.build(inst, T)
         makespan = sched.makespan()
@@ -125,7 +125,38 @@ def solve_splittable(inst: Instance,
                             makespan=makespan)
 
 
-def _build_explicit(inst: Instance, T: Fraction) -> SplittableSchedule:
+def _build_explicit(inst: Instance, T: Fraction
+                    ) -> tuple[SplittableSchedule, Fraction]:
+    """Round robin the sub-classes of the cut at ``T``; returns the
+    schedule and its makespan. The fast path fills the schedule's
+    columns in units of ``1/den`` in one bulk call."""
+    if not fast_paths_enabled():
+        return _build_explicit_reference(inst, T)
+    num, den = T.numerator, T.denominator
+    cut = cut_units(inst, num, den)
+    bounds, loads = cut.bounds, cut.loads
+    jobs: list[int] = []
+    machines: list[int] = []
+    amounts: list[int] = []
+    makespan = 0                    # units of 1/den
+    for machine_pos, items in enumerate(
+            round_robin_assignment(loads, inst.machines)):
+        load = 0
+        for item in items:
+            lo, hi = bounds[item], bounds[item + 1]
+            jobs += cut.jobs[lo:hi]
+            amounts += cut.units[lo:hi]
+            load += loads[item]
+        machines += [machine_pos] * (len(jobs) - len(machines))
+        makespan = max(makespan, load)
+    sched = SplittableSchedule.from_units(inst.machines, jobs, machines,
+                                          amounts, den=den)
+    return sched, Fraction(makespan, den)
+
+
+def _build_explicit_reference(inst: Instance, T: Fraction
+                              ) -> tuple[SplittableSchedule, Fraction]:
+    """The per-piece ``Fraction`` construction (reference path)."""
     subs = split_classes(inst, T)
     sizes = [s.load for s in subs]
     rows = round_robin_assignment(sizes, inst.machines)
@@ -134,4 +165,4 @@ def _build_explicit(inst: Instance, T: Fraction) -> SplittableSchedule:
         for item in items:
             for job, amount in subs[item].pieces:
                 sched.assign(machine_pos, job, amount)
-    return sched
+    return sched, sched.makespan()

@@ -13,22 +13,25 @@ Algorithm 2 collision-free (see :mod:`repro.approx.preemptive`).
 
 This is the hottest kernel of the constant-factor solvers, so the default
 implementation runs on exact scaled integers: with ``T = num/den`` every
-quantity here is a multiple of ``1/den``, so the whole cutting loop works
-in units of ``1/den`` on plain ``int`` and ``Fraction`` objects are only
-built once per emitted piece at the boundary. The pure-``Fraction``
-reference implementation is kept for the golden-equivalence tests and the
-perf harness (:func:`repro.core.fastmath.use_fast_paths`).
+quantity here is a multiple of ``1/den``, so :func:`cut_units` cuts in
+units of ``1/den`` on plain ``int``. The Theorem 4 and 5 solvers build
+their schedules straight from its integer columns; the fast path of
+:func:`split_classes` wraps the same loop and builds ``Fraction`` values
+per piece. The pure-``Fraction`` reference implementation is kept for the
+golden-equivalence tests and the perf harness
+(:func:`repro.core.fastmath.use_fast_paths`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..core.fastmath import fast_paths_enabled
 from ..core.instance import Instance
 
-__all__ = ["SubClass", "split_classes"]
+__all__ = ["SubClass", "Cut", "cut_units", "split_classes"]
 
 
 @dataclass(frozen=True)
@@ -62,36 +65,64 @@ def split_classes(inst: Instance, T: Fraction) -> list[SubClass]:
     return _split_classes_reference(inst, T)
 
 
-def _split_classes_fast(inst: Instance, T: Fraction) -> list[SubClass]:
-    """Scaled-integer cutting loop: everything is a multiple of
-    ``1/den`` (``T = num/den``), so the loop body is pure ``int``
-    arithmetic and ``Fraction`` values are reconstructed per piece at the
-    very end."""
-    num, den = T.numerator, T.denominator
+class Cut(NamedTuple):
+    """Every sub-class of one cut, in units of ``1/den`` of ``T = num/den``.
+
+    Sub-class ``k`` of class ``classes[k]`` is the run of pieces
+    ``bounds[k]:bounds[k + 1]`` of the flat ``jobs``/``units`` columns,
+    in concatenation order, with load ``loads[k]`` (``== num`` exactly
+    when it is full).
+    """
+
+    jobs: list[int]
+    units: list[int]
+    bounds: list[int]
+    loads: list[int]
+    classes: list[int]
+
+
+def cut_units(inst: Instance, num: int, den: int) -> Cut:
+    """Cut every class of ``inst`` at multiples of ``T = num/den`` on
+    plain ints: the one cutting loop behind the fast paths."""
     times = inst.processing_times
-    subs: list[SubClass] = []
-    for u, jobs in enumerate(inst.jobs_by_class):
-        current: list[tuple[int, int]] = []      # (job, units of 1/den)
-        current_load = 0                          # units of 1/den
-        for j in jobs:
+    jobs: list[int] = []
+    units: list[int] = []
+    bounds = [0]
+    loads: list[int] = []
+    classes: list[int] = []
+    for u, class_jobs in enumerate(inst.jobs_by_class):
+        load = 0
+        for j in class_jobs:
             remaining = times[j] * den
             while remaining > 0:
-                room = num - current_load
+                room = num - load
                 take = room if room < remaining else remaining
-                current.append((j, take))
-                current_load += take
+                jobs.append(j)
+                units.append(take)
+                load += take
                 remaining -= take
-                if current_load == num:
-                    subs.append(SubClass(
-                        u,
-                        tuple((j2, Fraction(a, den)) for j2, a in current),
-                        T, True))
-                    current = []
-                    current_load = 0
-        if current:
-            subs.append(SubClass(
-                u, tuple((j2, Fraction(a, den)) for j2, a in current),
-                Fraction(current_load, den), False))
+                if load == num:
+                    bounds.append(len(jobs))
+                    loads.append(num)
+                    classes.append(u)
+                    load = 0
+        if load:
+            bounds.append(len(jobs))
+            loads.append(load)
+            classes.append(u)
+    return Cut(jobs, units, bounds, loads, classes)
+
+
+def _split_classes_fast(inst: Instance, T: Fraction) -> list[SubClass]:
+    """:func:`cut_units`, with each piece and load as a ``Fraction``."""
+    num, den = T.numerator, T.denominator
+    cut = cut_units(inst, num, den)
+    subs: list[SubClass] = []
+    for k, (u, load) in enumerate(zip(cut.classes, cut.loads)):
+        lo, hi = cut.bounds[k], cut.bounds[k + 1]
+        pieces = tuple((j, Fraction(a, den)) for j, a in
+                       zip(cut.jobs[lo:hi], cut.units[lo:hi]))
+        subs.append(SubClass(u, pieces, Fraction(load, den), load == num))
     return subs
 
 

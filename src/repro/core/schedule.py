@@ -1,12 +1,20 @@
 """Schedule representations for the three CCS regimes.
 
 All quantities that may be fractional (piece sizes, start times) are exact
-``fractions.Fraction`` values — feasibility is never decided in floating
-point. Machines are indexed ``0..m-1`` but schedules store only *non-empty*
-machines sparsely, so an instance with ``m = 2**60`` machines is
-representable as long as only polynomially many machines receive load (the
-compact big-``m`` representation in :mod:`repro.approx.compact` covers the
-case where exponentially many machines receive load).
+rationals — feasibility is never decided in floating point. Machines are
+indexed ``0..m-1`` but schedules store only *non-empty* machines sparsely,
+so an instance with ``m = 2**60`` machines is representable as long as
+only polynomially many machines receive load (the compact big-``m``
+representation in :mod:`repro.approx.compact` covers the case where
+exponentially many machines receive load).
+
+The fractional schedules keep their pieces as parallel integer columns
+(job, machine, numerator and denominator of the amount, and of the start
+when timed). Solvers whose quantities are all multiples of one ``1/den``
+fill the columns in one bulk call (``from_units``) without building a
+``Fraction`` per piece; :class:`Piece` and :class:`TimedPiece` are views
+built on demand by :meth:`~SplittableSchedule.pieces_on` and
+:meth:`~SplittableSchedule.iter_pieces`.
 
 Classes here are pure data + cheap derived quantities; the authoritative
 feasibility checks live in :mod:`repro.core.validation`.
@@ -16,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import InvalidInstanceError
-from .fastmath import (INT64_SAFE, fast_paths_enabled, max_fraction,
-                       sum_fractions)
+from .fastmath import INT64_SAFE, fast_paths_enabled, max_fraction
 from .instance import Instance
 
 __all__ = [
@@ -40,6 +48,18 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _check_amount(job: int, amount: Fraction) -> None:
+    if amount <= 0:
+        raise InvalidInstanceError(
+            f"piece of job {job} has non-positive amount {amount}")
+
+
+def _check_start(job: int, start: Fraction) -> None:
+    if start < 0:
+        raise InvalidInstanceError(
+            f"piece of job {job} starts at negative time {start}")
+
+
 @dataclass(frozen=True)
 class Piece:
     """A piece of a job: ``amount`` units of processing of job ``job``."""
@@ -49,9 +69,7 @@ class Piece:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amount", _frac(self.amount))
-        if self.amount <= 0:
-            raise InvalidInstanceError(
-                f"piece of job {self.job} has non-positive amount {self.amount}")
+        _check_amount(self.job, self.amount)
 
 
 @dataclass(frozen=True)
@@ -65,158 +83,255 @@ class TimedPiece:
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", _frac(self.start))
         object.__setattr__(self, "amount", _frac(self.amount))
-        if self.amount <= 0:
-            raise InvalidInstanceError(
-                f"piece of job {self.job} has non-positive amount {self.amount}")
-        if self.start < 0:
-            raise InvalidInstanceError(
-                f"piece of job {self.job} starts at negative time {self.start}")
+        _check_amount(self.job, self.amount)
+        _check_start(self.job, self.start)
 
     @property
     def end(self) -> Fraction:
         return self.start + self.amount
 
 
-class _SparseMachineSchedule:
-    """Shared plumbing: a sparse ``machine -> pieces`` mapping."""
+def _sums_by_key(keys: Iterable[int], nums: Iterable[int],
+                 dens: Iterable[int]) -> dict[int, Fraction]:
+    """Exact ``key -> sum of nums[r] / dens[r]`` over parallel columns,
+    keys in order of first appearance. One running ``[numerator,
+    denominator]`` pair per key on the lcm of the denominators it has
+    seen, so same-denominator rows cost one integer addition; normalised
+    to a ``Fraction`` once per key at the end."""
+    acc: dict[int, list[int]] = {}
+    for k, n, d in zip(keys, nums, dens):
+        cur = acc.get(k)
+        if cur is None:
+            acc[k] = [n, d]
+        elif cur[1] == d:
+            cur[0] += n
+        else:
+            common = lcm(cur[1], d)
+            cur[0] = cur[0] * (common // cur[1]) + n * (common // d)
+            cur[1] = common
+    return {k: Fraction(n, d) for k, (n, d) in acc.items()}
+
+
+class _PieceColumns:
+    """Shared plumbing: pieces as parallel integer columns.
+
+    Row ``r`` places ``_nums[r] / _dens[r]`` units of job ``_jobs[r]`` on
+    machine ``_machs[r]``; the fractions need not be in lowest terms. All
+    entries are plain Python ints, so machine indices may exceed int64.
+    ``_rows`` lists the rows of each used machine, machines in order of
+    first use: kept up to date by :meth:`assign`, rebuilt on first read
+    after a bulk build. Reads group rows by machine through it, so pieces
+    come back machine by machine in insertion order, as they always have.
+    """
 
     def __init__(self, num_machines: int) -> None:
         if num_machines < 1:
             raise InvalidInstanceError("schedule needs at least one machine")
         self.num_machines = num_machines
+        self._jobs: list[int] = []
+        self._machs: list[int] = []
+        self._nums: list[int] = []
+        self._dens: list[int] = []
+        self._rows: dict[int, list[int]] | None = {}
 
     def _check_machine(self, i: int) -> None:
         if i < 0 or i >= self.num_machines:
             raise InvalidInstanceError(
                 f"machine index {i} outside 0..{self.num_machines - 1}")
 
+    def _append(self, machine: int, job: int, amount: Fraction) -> None:
+        if self._rows is not None:
+            self._rows.setdefault(machine, []).append(len(self._jobs))
+        self._jobs.append(job)
+        self._machs.append(machine)
+        self._nums.append(amount.numerator)
+        self._dens.append(amount.denominator)
 
-class SplittableSchedule(_SparseMachineSchedule):
+    def _fill(self, den: int, jobs: Iterable[int], machines: Iterable[int],
+              amounts: Iterable[int],
+              starts: list[int] | None = None) -> None:
+        """Adopt bulk columns over one denominator, after the checks
+        :meth:`assign` makes per piece: the first offending row raises
+        exactly what assigning the rows in order would. ``starts`` is
+        only checked; timed schedules keep it themselves."""
+        if den < 1:
+            raise ValueError(f"den must be a positive integer, got {den}")
+        jobs, machines, amounts = list(jobs), list(machines), list(amounts)
+        lengths = {len(jobs), len(machines), len(amounts)}
+        if starts is not None:
+            lengths.add(len(starts))
+        if len(lengths) > 1:
+            raise ValueError("piece columns differ in length")
+        if jobs and (min(machines) < 0 or max(machines) >= self.num_machines
+                     or min(amounts) <= 0
+                     or (starts is not None and min(starts) < 0)):
+            for r, job in enumerate(jobs):
+                self._check_machine(machines[r])
+                _check_amount(job, Fraction(amounts[r], den))
+                if starts is not None:
+                    _check_start(job, Fraction(starts[r], den))
+        self._jobs, self._machs, self._nums = jobs, machines, amounts
+        self._dens = [den] * len(jobs)
+        self._rows = None
+
+    def _by_machine(self) -> dict[int, list[int]]:
+        if self._rows is None:
+            rows: dict[int, list[int]] = {}
+            for r, i in enumerate(self._machs):
+                rows.setdefault(i, []).append(r)
+            self._rows = rows
+        return self._rows
+
+    def _grouped(self) -> list[int]:
+        """Every row, machine by machine (the order reads report in)."""
+        return [r for rows in self._by_machine().values() for r in rows]
+
+    def _amount(self, r: int) -> Fraction:
+        return Fraction(self._nums[r], self._dens[r])
+
+    @property
+    def used_machines(self) -> list[int]:
+        """Sorted indices of machines with at least one piece."""
+        return sorted(self._by_machine())
+
+    def load(self, machine: int) -> Fraction:
+        rows = self._by_machine().get(machine, ())
+        if fast_paths_enabled():
+            return _sums_by_key(
+                [machine] * len(rows), [self._nums[r] for r in rows],
+                [self._dens[r] for r in rows]).get(machine, Fraction(0))
+        return sum((self._amount(r) for r in rows), Fraction(0))
+
+    def job_amounts(self) -> dict[int, Fraction]:
+        """Total scheduled amount per job (for completeness checks)."""
+        order = self._grouped()
+        if fast_paths_enabled():
+            return _sums_by_key((self._jobs[r] for r in order),
+                                (self._nums[r] for r in order),
+                                (self._dens[r] for r in order))
+        out: dict[int, Fraction] = {}
+        for r in order:
+            job = self._jobs[r]
+            out[job] = out.get(job, Fraction(0)) + self._amount(r)
+        return out
+
+    def classes_on(self, machine: int, inst: Instance) -> set[int]:
+        return {inst.classes[self._jobs[r]]
+                for r in self._by_machine().get(machine, ())}
+
+    def num_pieces(self) -> int:
+        return len(self._jobs)
+
+
+class SplittableSchedule(_PieceColumns):
     """Assignment of job pieces to machines (pieces may run in parallel).
 
     The makespan is the maximum total assigned amount over machines.
     """
 
-    def __init__(self, num_machines: int) -> None:
-        super().__init__(num_machines)
-        self._machines: dict[int, list[Piece]] = {}
-
     # construction -------------------------------------------------------
     def assign(self, machine: int, job: int, amount: Rational) -> None:
         """Place ``amount`` units of ``job`` on ``machine``."""
         self._check_machine(machine)
-        self._machines.setdefault(machine, []).append(Piece(job, _frac(amount)))
+        amount = _frac(amount)
+        _check_amount(job, amount)
+        self._append(machine, job, amount)
+
+    @classmethod
+    def from_units(cls, num_machines: int, jobs: Iterable[int],
+                   machines: Iterable[int], amounts: Iterable[int], *,
+                   den: int = 1) -> "SplittableSchedule":
+        """A schedule whose row ``r`` places ``amounts[r] / den`` units of
+        ``jobs[r]`` on ``machines[r]``: what :meth:`assign` builds row by
+        row, with the same checks and errors, and no ``Fraction`` per
+        piece."""
+        sched = cls(num_machines)
+        sched._fill(den, jobs, machines, amounts)
+        return sched
 
     # queries ------------------------------------------------------------
-    @property
-    def used_machines(self) -> list[int]:
-        """Sorted indices of machines with at least one piece."""
-        return sorted(self._machines)
-
     def pieces_on(self, machine: int) -> list[Piece]:
-        return list(self._machines.get(machine, []))
+        return [Piece(self._jobs[r], self._amount(r))
+                for r in self._by_machine().get(machine, ())]
 
     def iter_pieces(self) -> Iterator[tuple[int, Piece]]:
         """Yield ``(machine, piece)`` for every piece."""
-        for i in sorted(self._machines):
-            for piece in self._machines[i]:
+        for i in self.used_machines:
+            for piece in self.pieces_on(i):
                 yield i, piece
 
     def piece_columns(self) -> tuple[list[int], list[int], list[int],
                                      list[int]]:
         """Every piece as parallel columns ``(jobs, machines,
         amount_numerators, amount_denominators)``, in no particular
-        order: the input of the int64 validation sweep."""
-        pieces = [p for ps in self._machines.values() for p in ps]
-        amounts = [p.amount for p in pieces]
-        return ([p.job for p in pieces],
-                [i for i, ps in self._machines.items() for _ in ps],
-                [a.numerator for a in amounts],
-                [a.denominator for a in amounts])
-
-    def load(self, machine: int) -> Fraction:
-        if fast_paths_enabled():
-            return sum_fractions(
-                p.amount for p in self._machines.get(machine, []))
-        return sum((p.amount for p in self._machines.get(machine, [])),
-                   Fraction(0))
+        order and not necessarily in lowest terms: the input of the
+        int64 validation sweep."""
+        return (list(self._jobs), list(self._machs), list(self._nums),
+                list(self._dens))
 
     def loads(self) -> dict[int, Fraction]:
         """Loads of all non-empty machines."""
-        return {i: self.load(i) for i in self._machines}
+        if fast_paths_enabled():
+            return _sums_by_key(self._machs, self._nums, self._dens)
+        return {i: self.load(i) for i in self._by_machine()}
 
     def makespan(self) -> Fraction:
-        if not self._machines:
+        if not self._jobs:
             return Fraction(0)
         if fast_paths_enabled():
             return max_fraction(self.loads().values())
         return max(self.loads().values())
 
-    def job_amounts(self) -> dict[int, Fraction]:
-        """Total scheduled amount per job (for completeness checks)."""
-        if fast_paths_enabled():
-            return _sum_amounts_by_job(
-                (p.job, p.amount)
-                for pieces in self._machines.values() for p in pieces)
-        out: dict[int, Fraction] = {}
-        for pieces in self._machines.values():
-            for p in pieces:
-                out[p.job] = out.get(p.job, Fraction(0)) + p.amount
-        return out
 
-    def classes_on(self, machine: int, inst: Instance) -> set[int]:
-        return {inst.classes[p.job] for p in self._machines.get(machine, [])}
-
-    def num_pieces(self) -> int:
-        return sum(len(v) for v in self._machines.values())
-
-
-def _sum_amounts_by_job(pairs: Iterable[tuple[int, Fraction]]
-                        ) -> dict[int, Fraction]:
-    """Exact per-job amount totals without per-addition gcd churn: one
-    running ``(numerator, denominator)`` int pair per job, normalised to
-    a ``Fraction`` once at the end (see
-    :func:`repro.core.fastmath.sum_fractions` for the idea)."""
-    acc: dict[int, tuple[int, int]] = {}
-    for job, amount in pairs:
-        n, d = amount.numerator, amount.denominator
-        cur = acc.get(job)
-        if cur is None:
-            acc[job] = (n, d)
-        elif cur[1] == d:
-            acc[job] = (cur[0] + n, d)
-        else:
-            acc[job] = (cur[0] * d + n * cur[1], cur[1] * d)
-    return {job: Fraction(n, d) for job, (n, d) in acc.items()}
-
-
-class PreemptiveSchedule(_SparseMachineSchedule):
+class PreemptiveSchedule(_PieceColumns):
     """Job pieces with start times; same-job pieces must not overlap in time.
 
     The makespan is the maximum piece end time (idle gaps are allowed, e.g.
-    after the repacking shift of Algorithm 2).
+    after the repacking shift of Algorithm 2). Starts are a second
+    numerator/denominator column pair beside the amounts.
     """
 
     def __init__(self, num_machines: int) -> None:
         super().__init__(num_machines)
-        self._machines: dict[int, list[TimedPiece]] = {}
+        self._start_nums: list[int] = []
+        self._start_dens: list[int] = []
 
     def assign(self, machine: int, job: int, start: Rational,
                amount: Rational) -> None:
         self._check_machine(machine)
-        self._machines.setdefault(machine, []).append(
-            TimedPiece(job, _frac(start), _frac(amount)))
+        start, amount = _frac(start), _frac(amount)
+        _check_amount(job, amount)
+        _check_start(job, start)
+        self._append(machine, job, amount)
+        self._start_nums.append(start.numerator)
+        self._start_dens.append(start.denominator)
 
-    @property
-    def used_machines(self) -> list[int]:
-        return sorted(self._machines)
+    @classmethod
+    def from_units(cls, num_machines: int, jobs: Iterable[int],
+                   machines: Iterable[int], starts: Iterable[int],
+                   amounts: Iterable[int], *,
+                   den: int = 1) -> "PreemptiveSchedule":
+        """A schedule whose row ``r`` runs ``amounts[r] / den`` units of
+        ``jobs[r]`` on ``machines[r]`` from time ``starts[r] / den``:
+        what :meth:`assign` builds row by row, with the same checks and
+        errors, and no ``Fraction`` per piece."""
+        sched = cls(num_machines)
+        starts = list(starts)
+        sched._fill(den, jobs, machines, amounts, starts)
+        sched._start_nums, sched._start_dens = starts, [den] * len(starts)
+        return sched
+
+    def _start(self, r: int) -> Fraction:
+        return Fraction(self._start_nums[r], self._start_dens[r])
 
     def pieces_on(self, machine: int) -> list[TimedPiece]:
-        return sorted(self._machines.get(machine, []),
+        return sorted((TimedPiece(self._jobs[r], self._start(r),
+                                  self._amount(r))
+                       for r in self._by_machine().get(machine, ())),
                       key=lambda p: (p.start, p.end))
 
     def iter_pieces(self) -> Iterator[tuple[int, TimedPiece]]:
-        for i in sorted(self._machines):
+        for i in self.used_machines:
             for piece in self.pieces_on(i):
                 yield i, piece
 
@@ -224,53 +339,35 @@ class PreemptiveSchedule(_SparseMachineSchedule):
                                      list[int], list[int], list[int]]:
         """Every piece as parallel columns ``(jobs, machines,
         start_numerators, start_denominators, amount_numerators,
-        amount_denominators)``, unsorted: the input of the int64
-        validation sweep, read without :meth:`pieces_on`'s sort."""
-        pieces = [p for ps in self._machines.values() for p in ps]
-        starts = [p.start for p in pieces]
-        amounts = [p.amount for p in pieces]
-        return ([p.job for p in pieces],
-                [i for i, ps in self._machines.items() for _ in ps],
-                [s.numerator for s in starts],
-                [s.denominator for s in starts],
-                [a.numerator for a in amounts],
-                [a.denominator for a in amounts])
-
-    def load(self, machine: int) -> Fraction:
-        if fast_paths_enabled():
-            return sum_fractions(
-                p.amount for p in self._machines.get(machine, []))
-        return sum((p.amount for p in self._machines.get(machine, [])),
-                   Fraction(0))
+        amount_denominators)``, unsorted and not necessarily in lowest
+        terms: the input of the int64 validation sweep."""
+        return (list(self._jobs), list(self._machs), list(self._start_nums),
+                list(self._start_dens), list(self._nums), list(self._dens))
 
     def makespan(self) -> Fraction:
         if fast_paths_enabled():
-            return max_fraction(
-                (p.end for pieces in self._machines.values()
-                 for p in pieces), default=Fraction(0))
+            # ends as exact (numerator, denominator) pairs, compared by
+            # cross-multiplication; same-denominator rows stay integer
+            best_n, best_d = 0, 1
+            for sn, sd, an, ad in zip(self._start_nums, self._start_dens,
+                                      self._nums, self._dens):
+                n, d = (sn + an, sd) if sd == ad else (sn * ad + an * sd,
+                                                       sd * ad)
+                if (n > best_n if d == best_d
+                        else n * best_d > best_n * d):
+                    best_n, best_d = n, d
+            return Fraction(best_n, best_d)
         end = Fraction(0)
-        for pieces in self._machines.values():
-            for p in pieces:
-                if p.end > end:
-                    end = p.end
+        for r in range(len(self._jobs)):
+            e = self._start(r) + self._amount(r)
+            if e > end:
+                end = e
         return end
-
-    def job_amounts(self) -> dict[int, Fraction]:
-        if fast_paths_enabled():
-            return _sum_amounts_by_job(
-                (p.job, p.amount)
-                for pieces in self._machines.values() for p in pieces)
-        out: dict[int, Fraction] = {}
-        for pieces in self._machines.values():
-            for p in pieces:
-                out[p.job] = out.get(p.job, Fraction(0)) + p.amount
-        return out
 
     def job_intervals(self, job: int) -> list[tuple[Fraction, Fraction]]:
         """All (start, end) intervals of ``job`` across machines, sorted."""
-        out = [(p.start, p.end)
-               for pieces in self._machines.values()
-               for p in pieces if p.job == job]
+        out = [(self._start(r), self._start(r) + self._amount(r))
+               for r, j in enumerate(self._jobs) if j == job]
         out.sort()
         return out
 
@@ -279,18 +376,13 @@ class PreemptiveSchedule(_SparseMachineSchedule):
         collected in one pass over the pieces. Equivalent to calling
         :meth:`job_intervals` per job, without the quadratic rescan."""
         out: dict[int, list[tuple[Fraction, Fraction]]] = {}
-        for pieces in self._machines.values():
-            for p in pieces:
-                out.setdefault(p.job, []).append((p.start, p.end))
+        for r in self._grouped():
+            start = self._start(r)
+            out.setdefault(self._jobs[r], []).append(
+                (start, start + self._amount(r)))
         for intervals in out.values():
             intervals.sort()
         return out
-
-    def classes_on(self, machine: int, inst: Instance) -> set[int]:
-        return {inst.classes[p.job] for p in self._machines.get(machine, [])}
-
-    def num_pieces(self) -> int:
-        return sum(len(v) for v in self._machines.values())
 
 
 class NonPreemptiveSchedule:

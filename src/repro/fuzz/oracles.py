@@ -18,7 +18,8 @@ Six families, each cheap enough to run thousands of times:
 ``fastpath``
     ``use_fast_paths(False)`` golden equivalence on *random* instances,
     not just committed goldens: the scaled-integer kernels must produce
-    byte-identical reports to the pure-Fraction reference.
+    byte-identical reports, and byte-identical schedules, to the
+    pure-Fraction reference.
 
 ``batch``
     ``solve_many`` (the engine's stacked multi-cell kernels) must be
@@ -380,13 +381,15 @@ def fastpath_oracle(inst: Instance, specs: Sequence[SolverSpec],
                     ) -> list[Violation]:
     """The scaled-integer fast paths must match the pure-Fraction
     reference byte for byte — on freshly generated instances, not just
-    the committed goldens."""
+    the committed goldens. Both sides keep their schedule, so its
+    :mod:`repro.io` encoding (``extra["schedule"]``) is compared too: a
+    piece placed elsewhere at an equal makespan is a mismatch."""
     out: list[Violation] = []
     for spec in specs:
         with use_fast_paths(True):
-            fast = _stripped(execute(inst, spec.name))
+            fast = _stripped(execute(inst, spec.name, keep_schedule=True))
         with use_fast_paths(False):
-            ref = _stripped(execute(inst, spec.name))
+            ref = _stripped(execute(inst, spec.name, keep_schedule=True))
         if fast != ref:
             diff = {k: (fast.get(k), ref.get(k))
                     for k in set(fast) | set(ref)

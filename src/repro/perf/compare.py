@@ -8,7 +8,10 @@ and only benches present in *both* files with an identical ``shape``
 are compared (a reshaped bench is a new measurement, not a regression).
 When both files carry a ``calibration_s`` machine-speed yardstick (see
 :func:`repro.perf.harness.measure_calibration`), ratios are scaled by
-the machines' relative speed before thresholding.
+the machines' relative speed before thresholding. No calibration makes
+up for a different build, though: :func:`build_mismatch` refuses a
+baseline whose optional accelerators (C core, shm transport) differ
+from the current run's, or that records none.
 
 CI policy (see ``.github/workflows/ci.yml``): warn over 1.25x on the
 noisy shared runners without failing the job, hard-fail over 2x. Local
@@ -21,8 +24,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-__all__ = ["Comparison", "compare_results", "DEFAULT_WARN_RATIO",
-           "DEFAULT_FAIL_RATIO"]
+__all__ = ["Comparison", "build_mismatch", "compare_results",
+           "DEFAULT_WARN_RATIO", "DEFAULT_FAIL_RATIO"]
 
 #: >25% slower than baseline: a regression worth flagging.
 DEFAULT_WARN_RATIO = 1.25
@@ -34,6 +37,32 @@ def _canon(shape) -> str:
     """Shape equality through a JSON round-trip, so an in-memory run
     (tuples) compares equal to its own written file (lists)."""
     return json.dumps(shape, sort_keys=True, default=list)
+
+
+def _accelerators(results: Mapping) -> Mapping | None:
+    return (results.get("build") or {}).get("accelerators")
+
+
+def _describe(accelerators: Mapping | None) -> str:
+    return ", ".join(f"{k}={v}"
+                     for k, v in sorted((accelerators or {}).items()))
+
+
+def build_mismatch(current: Mapping, baseline: Mapping) -> str | None:
+    """Why ``baseline`` cannot gate ``current`` — their optional
+    accelerators differ, or the baseline records none — or ``None``
+    when the two builds match."""
+    ours, theirs = _accelerators(current), _accelerators(baseline)
+    if theirs is None:
+        return ("different build: the baseline records no build stamp, "
+                "so it cannot be compared like with like; re-measure it "
+                "with `repro bench --suite full` on this build")
+    if ours != theirs:
+        return (f"different build: the baseline ran with "
+                f"{_describe(theirs)}, this run with {_describe(ours)}; "
+                "re-measure the baseline on this build instead of reading "
+                "the gap as a regression")
+    return None
 
 
 @dataclass(frozen=True)

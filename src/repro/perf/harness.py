@@ -4,10 +4,12 @@ Design goals, in order:
 
 1. **Durable** — every run can be written to ``BENCH_results.json``
    (per-bench median/min seconds, instance shapes, git revision, python
-   version), so the repository carries a perf trajectory instead of
-   anecdotes.
+   version, the build), so the repository carries a perf trajectory
+   instead of anecdotes.
 2. **Comparable** — :mod:`repro.perf.compare` diffs two result files and
-   flags regressions; the committed baseline gates CI.
+   flags regressions; the committed baseline gates CI. Each file records
+   the optional accelerators its run used (:func:`build_stamp`), and a
+   baseline from a different build is refused, not diffed.
 3. **Honest** — benches that claim a speedup measure *both* sides in the
    same process back to back (fast path vs the pure-Fraction reference
    via :func:`repro.core.fastmath.use_fast_paths`, warm pool vs cold
@@ -31,8 +33,8 @@ from statistics import median
 from typing import Any, Callable, Mapping
 
 __all__ = ["BenchResult", "BenchRun", "time_callable", "git_rev",
-           "measure_calibration", "write_results", "load_results",
-           "RESULTS_SCHEMA"]
+           "build_stamp", "measure_calibration", "write_results",
+           "load_results", "RESULTS_SCHEMA"]
 
 RESULTS_SCHEMA = "repro-bench-v1"
 
@@ -111,13 +113,30 @@ def git_rev() -> str:
     return "unknown"
 
 
+def build_stamp() -> dict:
+    """The build a run measures. ``accelerators`` are the optional layers
+    that change what the benches time — the compiled C core loaded, the
+    shared-memory transport enabled — and two results files compare only
+    when they agree (:func:`repro.perf.compare.build_mismatch`).
+    ``python`` and ``usable_cores`` are recorded for information only."""
+    from ..core.native import native_available
+    from ..engine.runner import _usable_cores
+    from ..engine.shm import shm_enabled
+    return {"accelerators": {"native_core": native_available(),
+                             "shm_transport": shm_enabled()},
+            "python": platform.python_version(),
+            "usable_cores": _usable_cores()}
+
+
 @dataclass
 class BenchRun:
-    """A collection of results plus the environment stamp."""
+    """A collection of results plus the environment stamp. ``build`` is
+    taken when the run starts, before any bench toggles a layer."""
 
     suite: str
     results: list[BenchResult] = field(default_factory=list)
     calibration_s: float | None = None
+    build: dict = field(default_factory=build_stamp)
 
     def add(self, result: BenchResult) -> BenchResult:
         self.results.append(result)
@@ -131,6 +150,7 @@ class BenchRun:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "argv": sys.argv[1:],
+            "build": self.build,
             "benches": {r.name: r.to_dict() for r in self.results},
         }
         if self.calibration_s is not None:

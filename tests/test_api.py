@@ -1,6 +1,7 @@
 """Tests for the ``repro.api`` facade: request objects, capability
 selection, and the three interchangeable backends."""
 
+import functools
 import json
 import os
 import subprocess
@@ -402,3 +403,64 @@ class TestSessionClose:
         session = Session()
         session.close()
         assert session.solve(inst, algorithm="lpt").status == "ok"
+
+
+# --------------------------------------------------------------------- #
+# pool stream: a dead worker
+# --------------------------------------------------------------------- #
+
+def _crash_once(sentinel, *args, **kwargs):    # pragma: no cover - worker
+    """``execute_in_worker``, except that the first call of all kills
+    its pool worker."""
+    try:
+        os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        from repro.engine.runner import execute_in_worker
+        return execute_in_worker(*args, **kwargs)
+    os._exit(13)
+
+
+def _crash_always(*args, **kwargs):    # pragma: no cover - dies in worker
+    os._exit(13)
+
+
+class TestPoolStreamWorkerDeath:
+    ALGOS = ["splittable", "preemptive", "nonpreemptive"]
+
+    @staticmethod
+    def _grid():
+        import numpy as np
+        from repro.workloads import uniform_instance
+        rng = np.random.default_rng(3)
+        return [(f"u{k}", uniform_instance(rng, n=40, C=6, m=4, c=2))
+                for k in range(8)]
+
+    @staticmethod
+    def _answers(reports):
+        return sorted((r.instance_label, r.algorithm, r.status, r.makespan,
+                       r.guess) for r in reports)
+
+    def test_stream_survives_one_worker_death(self, tmp_path, monkeypatch):
+        import repro.api.backends as backends
+        grid = self._grid()
+        expected = Session().solve_batch(grid, algorithms=self.ALGOS)
+        sentinel = tmp_path / "crashed"
+        monkeypatch.setattr(backends, "execute_in_worker",
+                            functools.partial(_crash_once, str(sentinel)))
+        got = list(Session(workers=2).stream(grid, algorithms=self.ALGOS))
+        assert sentinel.exists()        # a worker really died
+        assert all(r.status == "ok" for r in got)
+        assert self._answers(got) == self._answers(expected)
+
+    def test_second_death_propagates(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+        import repro.api.backends as backends
+        monkeypatch.setattr(backends, "execute_in_worker", _crash_always)
+        with pytest.raises(BrokenProcessPool):
+            list(Session(workers=2).stream(self._grid(),
+                                           algorithms=self.ALGOS))
+        # the next pooled call gets a fresh pool
+        monkeypatch.undo()
+        got = list(Session(workers=2).stream(self._grid()[:2],
+                                             algorithms=["splittable"]))
+        assert [r.status for r in got] == ["ok", "ok"]

@@ -116,6 +116,31 @@ class TestOracles:
             inst, ("splittable", "preemptive", "nonpreemptive", "lpt"))
         assert not run_oracle("fastpath", inst, specs)
 
+    def test_fastpath_oracle_compares_schedules(self, monkeypatch):
+        # a fast path that mirrors the machine order keeps the makespan,
+        # the guess and every other report field: only the schedule
+        # differs, and the oracle must see it
+        import repro.approx.splittable as approx_splittable
+        from repro.core.fastmath import fast_paths_enabled
+        from repro.core.schedule import SplittableSchedule
+        build = approx_splittable._build_explicit
+
+        def mirrored(inst, T):
+            sched, makespan = build(inst, T)
+            if not fast_paths_enabled():
+                return sched, makespan
+            out = SplittableSchedule(sched.num_machines)
+            for i, piece in sched.iter_pieces():
+                out.assign(sched.num_machines - 1 - i, piece.job,
+                           piece.amount)
+            return out, makespan
+
+        monkeypatch.setattr(approx_splittable, "_build_explicit", mirrored)
+        inst = Instance((7, 11, 13, 5), (0, 1, 0, 2), 3, 2)
+        (violation,) = run_oracle("fastpath", inst,
+                                  eligible_solvers(inst, ("splittable",)))
+        assert "extra" in violation.message
+
     def test_batch_oracle_clean(self):
         inst = Instance((7, 11, 13, 5), (0, 1, 0, 2), 7, 2)
         specs = eligible_solvers(

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from repro.perf import (BenchResult, BenchRun, compare_results,
-                        list_suites, load_results, time_callable,
-                        write_results)
+from repro.perf import (BenchResult, BenchRun, build_mismatch,
+                        compare_results, list_suites, load_results,
+                        time_callable, write_results)
 from repro.perf.harness import RESULTS_SCHEMA
 
 
@@ -141,3 +141,48 @@ def test_bench_cli_missing_baseline(tmp_path):
         main(["bench", "--suite", "smoke", "--repeats", "1",
               "-o", str(tmp_path / "r.json"),
               "--baseline", str(tmp_path / "nope.json")])
+
+
+def test_results_carry_the_build(tmp_path):
+    data = load_results(write_results(_run(_result("kernel/x", 0.01)),
+                                      tmp_path / "r.json"))
+    build = data["build"]
+    assert set(build["accelerators"]) == {"native_core", "shm_transport"}
+    assert all(isinstance(v, bool) for v in build["accelerators"].values())
+    assert build["python"] and build["usable_cores"] >= 1
+
+
+def test_build_mismatch_compares_accelerators_only():
+    ours = {"build": {"accelerators": {"native_core": False,
+                                       "shm_transport": True},
+                      "python": "3.11.7", "usable_cores": 2}}
+    same = {"build": {"accelerators": {"native_core": False,
+                                       "shm_transport": True},
+                      "python": "3.12.1", "usable_cores": 8}}
+    built = {"build": {"accelerators": {"native_core": True,
+                                        "shm_transport": True}}}
+    assert build_mismatch(ours, same) is None
+    msg = build_mismatch(ours, built)
+    assert msg.startswith("different build")
+    assert "native_core=True" in msg and "native_core=False" in msg
+    assert build_mismatch(ours, {"benches": {}}).startswith(
+        "different build: the baseline records no build stamp")
+
+
+@pytest.mark.parametrize("baseline_build", ["flipped", "missing"])
+def test_bench_cli_refuses_a_different_build(tmp_path, baseline_build):
+    from repro.__main__ import main
+    run = _run(_result("kernel/x", 0.01))
+    if baseline_build == "flipped":
+        acc = run.build["accelerators"]
+        acc["native_core"] = not acc["native_core"]
+    data = run.to_dict()
+    if baseline_build == "missing":
+        del data["build"]
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(data))
+    # refused before any bench runs: no results file is written
+    with pytest.raises(SystemExit, match="different build"):
+        main(["bench", "--suite", "smoke", "--repeats", "1",
+              "-o", str(tmp_path / "r.json"), "--baseline", str(path)])
+    assert not (tmp_path / "r.json").exists()
