@@ -1,6 +1,6 @@
 /* Optional compiled kernel core: the innermost integer loops.
  *
- * Two functions, both exact and both guarded by their python callers:
+ * One function, exact and guarded by its python caller:
  *
  *   split_count_scaled(loads, num, den) -> int
  *       sum(ceil(P * den / num) for P in loads) on C int64. The caller
@@ -8,14 +8,6 @@
  *       magnitude guard the numpy fast path uses, so no intermediate
  *       product or the accumulated total can overflow; a defensive
  *       OverflowError is raised if that contract is ever violated.
- *
- *   sum_fractions_ll(values) -> (num, den)
- *       The fastmath sum_fractions accumulator on C int64: one
- *       (numerator, denominator) pair, addends sharing the running
- *       denominator cost one addition. Raises OverflowError the moment
- *       any value or intermediate leaves int64 range — the python
- *       wrapper catches it and falls back to the big-int loop, so the
- *       result is exact in every case.
  *
  * Build: python -m repro.core._native_build
  */
@@ -79,68 +71,9 @@ split_count_scaled(PyObject *self, PyObject *args)
     return PyLong_FromLongLong(total);
 }
 
-static PyObject *
-sum_fractions_ll(PyObject *self, PyObject *arg)
-{
-    PyObject *fast = PySequence_Fast(arg, "values must be a sequence");
-    if (fast == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    long long tn = 0, td = 1;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *v = items[i];
-        long long vn, vd;
-        if (PyLong_Check(v)) {
-            vn = PyLong_AsLongLong(v);
-            if (vn == -1 && PyErr_Occurred())
-                goto fail;
-            vd = 1;
-        } else {
-            PyObject *num = PyObject_GetAttrString(v, "numerator");
-            if (num == NULL)
-                goto fail;
-            vn = PyLong_AsLongLong(num);
-            Py_DECREF(num);
-            if (vn == -1 && PyErr_Occurred())
-                goto fail;
-            PyObject *den = PyObject_GetAttrString(v, "denominator");
-            if (den == NULL)
-                goto fail;
-            vd = PyLong_AsLongLong(den);
-            Py_DECREF(den);
-            if (vd == -1 && PyErr_Occurred())
-                goto fail;
-        }
-        if (vd == td) {
-            if (__builtin_add_overflow(tn, vn, &tn))
-                goto overflow;
-        } else {
-            /* tn/td + vn/vd = (tn*vd + vn*td) / (td*vd) */
-            long long a, b;
-            if (__builtin_mul_overflow(tn, vd, &a) ||
-                __builtin_mul_overflow(vn, td, &b) ||
-                __builtin_add_overflow(a, b, &tn) ||
-                __builtin_mul_overflow(td, vd, &td))
-                goto overflow;
-        }
-    }
-    Py_DECREF(fast);
-    return Py_BuildValue("(LL)", tn, td);
-
-overflow:
-    PyErr_SetString(PyExc_OverflowError,
-                    "sum_fractions_ll accumulator overflows int64");
-fail:
-    Py_DECREF(fast);
-    return NULL;
-}
-
 static PyMethodDef native_methods[] = {
     {"split_count_scaled", split_count_scaled, METH_VARARGS,
      "sum(ceil(P * den / num) for P in loads) on int64."},
-    {"sum_fractions_ll", sum_fractions_ll, METH_O,
-     "Exact rational sum on int64; OverflowError when it does not fit."},
     {NULL, NULL, 0, NULL}
 };
 

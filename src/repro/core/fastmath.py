@@ -28,13 +28,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Iterator
 
-from .native import NATIVE
-
 __all__ = ["fast_paths_enabled", "set_fast_paths", "use_fast_paths",
-           "sum_fractions", "max_fraction", "INT64_SAFE"]
+           "max_fraction", "INT64_SAFE"]
 
 #: Conservative magnitude bound under which intermediate products of the
 #: vectorised int64 kernels cannot overflow (leaves headroom for one
@@ -69,53 +66,6 @@ def use_fast_paths(on: bool) -> Iterator[None]:
         yield
     finally:
         set_fast_paths(old)
-
-
-#: Reduce the running denominator once it exceeds this many bits — only
-#: reachable when addends carry many *distinct* denominators.
-_DEN_REDUCE_BITS = 512
-
-
-def sum_fractions(values: Iterable[Fraction | int]) -> Fraction:
-    """Exact sum of rationals without per-addition normalisation.
-
-    Accumulates a single ``(numerator, denominator)`` pair of plain
-    ``int``: addends sharing the running denominator — the overwhelmingly
-    common case in schedules, whose piece sizes are multiples of one
-    ``1/den`` — cost one integer addition, and a gcd is only ever taken
-    when the running denominator grows past ``_DEN_REDUCE_BITS`` bits.
-    Both ``int`` and ``Fraction`` expose ``numerator``/``denominator``,
-    so the loop needs no type dispatch.  Exactly equal to ``sum(values,
-    Fraction(0))``: rational addition is associative.
-
-    With the optional compiled core built (see
-    :mod:`repro.core.native`) the accumulation runs in C on int64 and
-    falls back to this big-int loop the moment anything does not fit —
-    the result is exact either way.
-    """
-    if NATIVE is not None and _enabled:
-        values = values if isinstance(values, (list, tuple)) \
-            else list(values)
-        try:
-            n, d = NATIVE.sum_fractions_ll(values)
-        except OverflowError:
-            pass
-        else:
-            return Fraction(n, d)
-    total_n, total_d = 0, 1
-    for v in values:
-        d = v.denominator
-        if d == total_d:
-            total_n += v.numerator
-        else:
-            total_n = total_n * d + v.numerator * total_d
-            total_d *= d
-            if total_d.bit_length() > _DEN_REDUCE_BITS:
-                g = gcd(total_n, total_d)
-                if g > 1:
-                    total_n //= g
-                    total_d //= g
-    return Fraction(total_n, total_d)
 
 
 def max_fraction(values: Iterable[Fraction | int],

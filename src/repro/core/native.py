@@ -1,8 +1,8 @@
 """Import guard for the optional compiled kernel core.
 
 ``repro.core._native`` is a tiny hand-written C extension holding the
-innermost integer loops of the hot kernels (``split_count`` and the
-``sum_fractions`` accumulator).  It is strictly optional: the pure-python
+innermost integer loop of the border search (``split_count``).  It is
+strictly optional: the pure-python
 wheel never requires a compiler, and every caller keeps a byte-identical
 python fallback — the compiled path is proven equivalent by the
 ``use_fast_paths(False)`` golden tests and the fuzz fastpath oracle.

@@ -19,13 +19,22 @@ the *rounded* size profile — never on the machine count — so they keep
 working where the ``milp-*`` solvers cap at ``m <= 64`` and the explicit
 preemptive PTAS at ``m <= 12``.
 
-Backend selection per guess: the structure-exploiting DP
-(:func:`repro.nfold.solvers.solve_dp`) runs when the estimated brick
-enumeration volume is small; otherwise the HiGHS backend solves the
-assembled ILP. Builder outputs carry wide slack columns, so HiGHS is the
-production path and the DP engages only on micro programs — the same
-split the paper makes between the Theorem-1 algorithm and what is
-practical to run. Graver augmentation (:func:`repro.nfold.solvers.augment`)
+Backend selection per guess: the builder also packs the classes'
+modules into a point of the guess's IP
+(:func:`repro.ptas.nfold_builders.splittable_nfold_with_point` and its
+non-preemptive twin), and when the exact :meth:`NFold.is_feasible`
+check certifies that point the guess is accepted without an IP solver
+(``"constructed"``). The packing counts machines instead of visiting
+them, which is what keeps a solve flat in ``m``. Otherwise the
+structure-exploiting DP (:func:`repro.nfold.solvers.solve_dp`) runs
+when the estimated brick enumeration volume is small, and HiGHS solves
+the assembled ILP when it is not; builder outputs carry wide slack
+columns, so the DP engages only on micro programs — the same split the
+paper makes between the Theorem-1 algorithm and what is practical to
+run. ``extra["backend"]`` names how the accepted guess was decided.
+Each run still loads the HiGHS backend once before its search, so a
+missing backend reports ``unsupported`` whichever way the guesses go.
+Graver augmentation (:func:`repro.nfold.solvers.augment`)
 certifies accepted points whenever its candidate enumeration
 (``(2 rho + 1)^t`` per brick) is tractable, feeding the
 ``repro_nfold_augment_rounds`` histogram.
@@ -53,9 +62,11 @@ from ..obs.metrics import REGISTRY
 from ..ptas.common import (delta_for_epsilon, geometric_guess_search,
                            integral_guess_search)
 from ..ptas.nfold_builders import (build_nonpreemptive_nfold,
-                                   build_splittable_nfold)
+                                   build_splittable_nfold,
+                                   nonpreemptive_nfold_with_point,
+                                   splittable_nfold_with_point)
 from ..registry import RawSolve
-from .milp_backend import solve_milp
+from .milp_backend import _load_backend, solve_milp
 from .solvers import augment, solve_dp
 from .structure import NFold
 from .theory import parameters_of, theorem1_log10_bound
@@ -135,13 +146,30 @@ def _estimated_brick_volume(nf: NFold) -> float:
     return worst
 
 
-def _solve_feasibility(nf: NFold, meta: dict) -> np.ndarray | None:
-    """One guess's IP: brick DP when tractable, HiGHS otherwise."""
+def _solve_feasibility(nf: NFold,
+                       point: np.ndarray | None) -> tuple[np.ndarray | None,
+                                                          str]:
+    """One guess's IP and the backend that decided it: the constructed
+    ``point`` when the exact check certifies it, else the brick DP when
+    tractable, else HiGHS."""
+    if point is not None and nf.is_feasible(point):
+        return point, "constructed"
     if _estimated_brick_volume(nf) <= _DP_BRICK_VOLUME_CAP:
-        meta["backend"] = "dp"
-        return solve_dp(nf)
-    meta["backend"] = "highs"
-    return solve_milp(nf)
+        return solve_dp(nf), "dp"
+    return solve_milp(nf), "highs"
+
+
+def _guess_tester(build, inst: Instance, q: int, what: str):
+    """``try_guess`` for the searches: build the guess's program and a
+    constructed point (``build``), decide it, and return ``(nf, x,
+    backend)`` or raise :class:`InfeasibleGuessError`."""
+    def try_guess(T):
+        nf, point = build(inst, T, q)
+        x, backend = _solve_feasibility(nf, point)
+        if x is None:
+            raise InfeasibleGuessError(f"{what} infeasible at T={T}")
+        return nf, x, backend
+    return try_guess
 
 
 def _certify(nf: NFold, x: np.ndarray, algorithm: str) -> int | None:
@@ -157,14 +185,14 @@ def _certify(nf: NFold, x: np.ndarray, algorithm: str) -> int | None:
     return stats["rounds"]
 
 
-def _nfold_extra(nf: NFold, meta: dict, *, q: int, tried: int,
+def _nfold_extra(nf: NFold, backend: str, *, q: int, tried: int,
                  epsilon: Fraction, augment_rounds: int | None) -> dict:
     params = parameters_of(nf)
     extra = {
         "epsilon": str(epsilon),
         "delta": str(Fraction(1, q)),
         "guesses_tried": tried,
-        "backend": meta.get("backend", "dp"),
+        "backend": backend,
         "nfold": {"N": params.N, "r": params.r, "s": params.s,
                   "t": params.t, "delta": params.delta, "L": params.L,
                   "theorem1_log10": round(theorem1_log10_bound(params), 3)},
@@ -205,20 +233,14 @@ def run_nfold_splittable(inst: Instance, epsilon=None, delta=None) -> RawSolve:
     _require_machine_cap(inst)
     q = _resolve_q(epsilon, delta)
     dlt = Fraction(1, q)
+    _load_backend()
     # the warm window needs Theorem 4's (guess, makespan), not its schedule
     lb, ub = splittable_value(inst)
-    meta: dict = {}
-
-    def try_guess(T: Fraction):
-        nf = build_splittable_nfold(inst, T, q)
-        x = _solve_feasibility(nf, meta)
-        if x is None:
-            raise InfeasibleGuessError(
-                f"splittable n-fold IP infeasible at T={T}")
-        return nf, x
-
+    try_guess = _guess_tester(splittable_nfold_with_point, inst, q,
+                              "splittable n-fold IP")
     try:
-        T, (nf, x), tried = geometric_guess_search(lb, ub, dlt, try_guess)
+        T, (nf, x, backend), tried = geometric_guess_search(
+            lb, ub, dlt, try_guess)
     except (CapacityExceededError, InfeasibleGuessError) as exc:
         return _warm_fallback(lb, ub, q=q, tried=0, reason=str(exc))
     GUESSES_TRIED.observe(tried, algorithm="nfold-splittable")
@@ -231,7 +253,7 @@ def run_nfold_splittable(inst: Instance, epsilon=None, delta=None) -> RawSolve:
     guess = max(lb, T / (1 + dlt))
     eps = makespan / guess - 1 if guess > 0 else Fraction(0)
     return RawSolve(None, guess, makespan=makespan,
-                    extra=_nfold_extra(nf, meta, q=q, tried=tried,
+                    extra=_nfold_extra(nf, backend, q=q, tried=tried,
                                        epsilon=eps, augment_rounds=rounds))
 
 
@@ -263,21 +285,15 @@ def run_nfold_preemptive(inst: Instance, epsilon=None, delta=None) -> RawSolve:
                                "guesses_tried": 0, "backend": "closed-form",
                                "optimal": True})
     _require_machine_cap(inst)
+    _load_backend()
     pmax = Fraction(pmax_bound(inst))
     lb = max(Fraction(warm.guess), pmax)
     ub = Fraction(warm.makespan)
-    meta: dict = {}
-
-    def try_guess(T: Fraction):
-        nf = build_splittable_nfold(inst, T, q)
-        x = _solve_feasibility(nf, meta)
-        if x is None:
-            raise InfeasibleGuessError(
-                f"splittable relaxation infeasible at T={T}")
-        return nf, x
-
+    try_guess = _guess_tester(splittable_nfold_with_point, inst, q,
+                              "splittable relaxation")
     try:
-        T, (nf, x), tried = geometric_guess_search(lb, ub, dlt, try_guess)
+        T, (nf, x, backend), tried = geometric_guess_search(
+            lb, ub, dlt, try_guess)
     except (CapacityExceededError, InfeasibleGuessError) as exc:
         return _warm_fallback(warm.guess, ub, q=q, tried=0, reason=str(exc))
     GUESSES_TRIED.observe(tried, algorithm="nfold-preemptive")
@@ -286,7 +302,7 @@ def run_nfold_preemptive(inst: Instance, epsilon=None, delta=None) -> RawSolve:
     guess = max(lb, T / (1 + dlt))
     eps = makespan / guess - 1 if guess > 0 else Fraction(0)
     return RawSolve(None, guess, makespan=makespan,
-                    extra=_nfold_extra(nf, meta, q=q, tried=tried,
+                    extra=_nfold_extra(nf, backend, q=q, tried=tried,
                                        epsilon=eps, augment_rounds=rounds))
 
 
@@ -304,20 +320,13 @@ def run_nfold_nonpreemptive(inst: Instance, epsilon=None,
     inst.require_feasible()
     _require_machine_cap(inst)
     q = _resolve_q(epsilon, delta)
+    _load_backend()
     warm = solve_nonpreemptive(inst)
     lb, ub = int(warm.guess), int(warm.makespan)
-    meta: dict = {}
-
-    def try_guess(T: int):
-        nf = build_nonpreemptive_nfold(inst, int(T), q)
-        x = _solve_feasibility(nf, meta)
-        if x is None:
-            raise InfeasibleGuessError(
-                f"non-preemptive n-fold IP infeasible at T={T}")
-        return nf, x
-
+    try_guess = _guess_tester(nonpreemptive_nfold_with_point, inst, q,
+                              "non-preemptive n-fold IP")
     try:
-        T, (nf, x), tried = integral_guess_search(lb, ub, try_guess)
+        T, (nf, x, backend), tried = integral_guess_search(lb, ub, try_guess)
     except (CapacityExceededError, InfeasibleGuessError) as exc:
         return _warm_fallback(lb, ub, q=q, tried=0, reason=str(exc))
     GUESSES_TRIED.observe(tried, algorithm="nfold-nonpreemptive")
@@ -328,7 +337,7 @@ def run_nfold_nonpreemptive(inst: Instance, epsilon=None,
     guess = Fraction(T)
     eps = makespan / guess - 1 if guess > 0 else Fraction(0)
     return RawSolve(None, guess, makespan=makespan,
-                    extra=_nfold_extra(nf, meta, q=q, tried=tried,
+                    extra=_nfold_extra(nf, backend, q=q, tried=tried,
                                        epsilon=eps, augment_rounds=rounds))
 
 

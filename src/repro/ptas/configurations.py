@@ -15,13 +15,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from ..core.errors import CapacityExceededError
 
-__all__ = ["Multiset", "enumerate_bounded_multisets", "splittable_modules",
-           "ConfigurationSpace", "build_configuration_space",
-           "configuration_cache_stats"]
+__all__ = ["Multiset", "enumerate_bounded_multisets", "multiset_index",
+           "splittable_modules", "ConfigurationSpace",
+           "build_configuration_space", "configuration_cache_stats"]
 
 
 class _WeightedMemo:
@@ -137,6 +138,28 @@ _enumerate_cached = _WeightedMemo(_enumerate_uncached,
                                   _ENUMERATE_WEIGHT_BUDGET, len)
 
 
+def multiset_index(values: Sequence[int], max_items: int, max_total: int,
+                   cap: int = 300_000,
+                   include_empty: bool = True) -> dict[Multiset, int]:
+    """:func:`enumerate_bounded_multisets` for the same arguments as a
+    dict from each multiset to its position, in that order. Memoised
+    like the enumeration, so a guess search builds it once per module
+    structure. The returned dict is shared and must be treated as
+    read-only."""
+    return _index_cached(tuple(values), max_items, max_total, cap,
+                         include_empty)
+
+
+def _index_uncached(values: tuple[int, ...], max_items: int, max_total: int,
+                    cap: int, include_empty: bool) -> dict[Multiset, int]:
+    listed = _enumerate_cached(values, max_items, max_total, None, cap,
+                               include_empty)
+    return {ms: i for i, ms in enumerate(listed)}
+
+
+_index_cached = _WeightedMemo(_index_uncached, _ENUMERATE_WEIGHT_BUDGET, len)
+
+
 def _enumerate_bounded_multisets(values: Sequence[int], max_items: int,
                                  max_total: int,
                                  max_count_per_value: Sequence[int] | None,
@@ -202,6 +225,12 @@ class ConfigurationSpace:
 
     def bucket_of(self, k: int) -> tuple[int, int]:
         return self.sizes[k], self.slots[k]
+
+    @cached_property
+    def index(self) -> dict[Multiset, int]:
+        """Each configuration's ``k``. Built on first use and kept with
+        the memoised space, so a guess search builds it once."""
+        return {cfg: k for k, cfg in enumerate(self.configs)}
 
 
 def build_configuration_space(module_sizes: Sequence[int], max_slots: int,

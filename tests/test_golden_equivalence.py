@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.fastmath import (fast_paths_enabled, set_fast_paths,
-                                 sum_fractions, use_fast_paths)
+                                 use_fast_paths)
 from repro.engine import execute
 from repro.workloads import uniform_instance, zipf_instance
 from repro.workloads.suites import large_ratio_suite, small_ratio_suite
@@ -107,13 +107,3 @@ def test_flag_restores_on_exception():
     old = set_fast_paths(False)
     assert old is True and not fast_paths_enabled()
     set_fast_paths(True)
-
-
-def test_sum_fractions_matches_builtin_sum():
-    from fractions import Fraction
-    rng = np.random.default_rng(13)
-    vals = [Fraction(int(rng.integers(-50, 50)),
-                     int(rng.integers(1, 40)))
-            for _ in range(200)] + [3, 0, -7]
-    assert sum_fractions(vals) == sum(vals, Fraction(0))
-    assert sum_fractions([]) == Fraction(0)

@@ -45,46 +45,6 @@ def test_split_count_scaled_overflow_raises():
         NATIVE.split_count_scaled([2 ** 62], 3, 2 ** 10)
 
 
-def test_sum_fractions_ll_matches_python():
-    rng = np.random.default_rng(1)
-    answered = 0
-    for _ in range(100):
-        vals = [Fraction(int(rng.integers(-10 ** 6, 10 ** 6)),
-                         int(rng.integers(1, 10 ** 3)))
-                for _ in range(int(rng.integers(1, 12)))]
-        try:
-            n, d = NATIVE.sum_fractions_ll(vals)
-        except OverflowError:
-            continue        # the documented python-fallback contract
-        answered += 1
-        assert Fraction(n, d) == sum(vals, Fraction(0))
-    assert answered >= 50, "native path should answer most random sums"
-
-
-def test_sum_fractions_ll_mixed_ints():
-    n, d = NATIVE.sum_fractions_ll([Fraction(1, 2), 5, Fraction(1, 3)])
-    assert Fraction(n, d) == Fraction(35, 6)
-
-
-def test_sum_fractions_ll_overflow_raises():
-    with pytest.raises(OverflowError):
-        NATIVE.sum_fractions_ll([Fraction(2 ** 80, 3)])
-
-
-def test_fastmath_sum_fractions_uses_native_and_matches():
-    from repro.core.fastmath import sum_fractions, use_fast_paths
-    vals = [Fraction(i, i + 1) for i in range(1, 40)]
-    fast = sum_fractions(vals)
-    with use_fast_paths(False):
-        ref = sum_fractions(vals)
-    assert fast == ref
-    # big values overflow the native path; the python loop must take over
-    big = vals + [Fraction(2 ** 90, 7)]
-    with use_fast_paths(False):
-        ref_big = sum_fractions(list(big))
-    assert sum_fractions(list(big)) == ref_big
-
-
 def test_env_gate_disables_native():
     import os
     import subprocess

@@ -109,7 +109,7 @@ class TestLargeMachineRegime:
         assert set(nf) >= {"N", "r", "s", "t", "delta", "theorem1_log10"}
         assert nf["theorem1_log10"] > 0
         assert rep.extra["guesses_tried"] >= 1
-        assert rep.extra["backend"] in ("dp", "highs")
+        assert rep.extra["backend"] == "constructed"
 
     def test_machine_count_free_dimensions(self):
         # the same instance at m=128 and m=10**9 builds the same program
