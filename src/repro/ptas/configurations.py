@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..core.errors import CapacityExceededError
 
-__all__ = ["Multiset", "enumerate_bounded_multisets", "multiset_index",
-           "splittable_modules", "ConfigurationSpace",
-           "build_configuration_space", "configuration_cache_stats"]
+__all__ = ["Multiset", "enumerate_bounded_multisets", "splittable_modules",
+           "ConfigurationSpace", "build_configuration_space",
+           "configuration_cache_stats"]
 
 
 class _WeightedMemo:
@@ -110,7 +109,10 @@ def enumerate_bounded_multisets(values: Sequence[int], max_items: int,
     this once per guess ``T``, and distinct guesses frequently round to
     the same module structure — the enumeration (exponential in
     ``1/delta``) is then paid once per structure instead of once per
-    guess. Returns a fresh list each call; the cached tuple is shared.
+    guess. Returns a fresh list each call; the cache keeps the
+    enumeration as one ``{multiset: position}`` dict in this order,
+    shared read-only with the configuration spaces (their ``index``) and
+    the n-fold module columns.
     """
     key_counts = None if max_count_per_value is None \
         else tuple(max_count_per_value)
@@ -122,12 +124,13 @@ def _enumerate_uncached(values: tuple[int, ...], max_items: int,
                         max_total: int,
                         max_count_per_value: tuple[int, ...] | None,
                         cap: int, include_empty: bool
-                        ) -> tuple[Multiset, ...]:
+                        ) -> dict[Multiset, int]:
     # failures (CapacityExceededError) propagate uncached, so a later call
     # with a higher cap is not poisoned
-    return tuple(_enumerate_bounded_multisets(
+    listed = _enumerate_bounded_multisets(
         values, max_items, max_total, max_count_per_value, cap,
-        include_empty))
+        include_empty)
+    return {ms: i for i, ms in enumerate(listed)}
 
 
 #: Total multisets kept across all cached enumerations — each is a
@@ -136,28 +139,6 @@ _ENUMERATE_WEIGHT_BUDGET = 2_000_000
 
 _enumerate_cached = _WeightedMemo(_enumerate_uncached,
                                   _ENUMERATE_WEIGHT_BUDGET, len)
-
-
-def multiset_index(values: Sequence[int], max_items: int, max_total: int,
-                   cap: int = 300_000,
-                   include_empty: bool = True) -> dict[Multiset, int]:
-    """:func:`enumerate_bounded_multisets` for the same arguments as a
-    dict from each multiset to its position, in that order. Memoised
-    like the enumeration, so a guess search builds it once per module
-    structure. The returned dict is shared and must be treated as
-    read-only."""
-    return _index_cached(tuple(values), max_items, max_total, cap,
-                         include_empty)
-
-
-def _index_uncached(values: tuple[int, ...], max_items: int, max_total: int,
-                    cap: int, include_empty: bool) -> dict[Multiset, int]:
-    listed = _enumerate_cached(values, max_items, max_total, None, cap,
-                               include_empty)
-    return {ms: i for i, ms in enumerate(listed)}
-
-
-_index_cached = _WeightedMemo(_index_uncached, _ENUMERATE_WEIGHT_BUDGET, len)
 
 
 def _enumerate_bounded_multisets(values: Sequence[int], max_items: int,
@@ -209,15 +190,17 @@ class ConfigurationSpace:
 
     ``configs[k]`` is a multiset of module sizes; ``size[k] = Lambda(K)``;
     ``slots[k] = ||K||_1``; ``buckets`` maps ``(h, b)`` to the config
-    indices with that size and slot count. The empty configuration (machine
-    running only small classes, or nothing) is always present at the
-    ``(0, 0)`` bucket.
+    indices with that size and slot count; ``index`` maps each
+    configuration back to its ``k`` (the enumeration memo's own dict).
+    The empty configuration (machine running only small classes, or
+    nothing) is always present at the ``(0, 0)`` bucket.
     """
 
     configs: tuple[Multiset, ...]
     sizes: tuple[int, ...]
     slots: tuple[int, ...]
     buckets: dict[tuple[int, int], tuple[int, ...]]
+    index: dict[Multiset, int] = field(repr=False, compare=False)
 
     @property
     def num_configs(self) -> int:
@@ -225,12 +208,6 @@ class ConfigurationSpace:
 
     def bucket_of(self, k: int) -> tuple[int, int]:
         return self.sizes[k], self.slots[k]
-
-    @cached_property
-    def index(self) -> dict[Multiset, int]:
-        """Each configuration's ``k``. Built on first use and kept with
-        the memoised space, so a guess search builds it once."""
-        return {cfg: k for k, cfg in enumerate(self.configs)}
 
 
 def build_configuration_space(module_sizes: Sequence[int], max_slots: int,
@@ -250,19 +227,21 @@ def build_configuration_space(module_sizes: Sequence[int], max_slots: int,
 
 def _build_space_uncached(module_sizes: tuple[int, ...], max_slots: int,
                           max_size: int, cap: int) -> ConfigurationSpace:
-    raw = enumerate_bounded_multisets(module_sizes, max_slots, max_size,
-                                      cap=cap, include_empty=True)
+    index = _enumerate_cached(module_sizes, max_slots, max_size, None, cap,
+                              True)
+    raw = tuple(index)
     sizes = tuple(multiset_total(ms) for ms in raw)
     slots = tuple(multiset_items(ms) for ms in raw)
     buckets: dict[tuple[int, int], list[int]] = {}
     for k, (h, b) in enumerate(zip(sizes, slots)):
         buckets.setdefault((h, b), []).append(k)
-    return ConfigurationSpace(tuple(raw), sizes, slots,
-                              {k: tuple(v) for k, v in buckets.items()})
+    return ConfigurationSpace(raw, sizes, slots,
+                              {k: tuple(v) for k, v in buckets.items()},
+                              index)
 
 
 #: Total configurations kept across all cached spaces (each config also
-#: carries its size/slot/bucket entries, hence the smaller budget).
+#: carries its size/slot/bucket/index entries, hence the smaller budget).
 _SPACE_WEIGHT_BUDGET = 500_000
 
 _build_space_cached = _WeightedMemo(

@@ -31,13 +31,17 @@ import numpy as np
 
 from ..core.instance import Instance
 from ..nfold.structure import NFold
-from .configurations import (ConfigurationSpace, build_configuration_space,
-                             multiset_index, multiset_total,
+from .configurations import (ConfigurationSpace, _enumerate_cached,
+                             build_configuration_space, multiset_total,
                              splittable_modules)
 from .rounding import group_jobs, round_grouped, round_splittable
 
 __all__ = ["build_splittable_nfold", "build_nonpreemptive_nfold",
            "splittable_nfold_with_point", "nonpreemptive_nfold_with_point"]
+
+#: Cap on the configurations and modules one guess's program enumerates
+#: (past it, :class:`~repro.core.errors.CapacityExceededError`).
+_ENUM_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -124,13 +128,13 @@ def _cover_rows(lay: _Layout, lambdas: list[int]) -> np.ndarray:
 # Section 4.1: splittable
 # --------------------------------------------------------------------- #
 
-def _splittable_layout(inst: Instance, T, q: int, config_cap: int):
+def _splittable_layout(inst: Instance, T, q: int):
     rnd = round_splittable(inst, T, q)
     c = inst.class_slots
     module_sizes = splittable_modules(q, c)
     c_star = min(q + 4, c)
     space = build_configuration_space(module_sizes, c_star, rnd.Tbar_units,
-                                      cap=config_cap)
+                                      cap=_ENUM_CAP)
     small = tuple(sz if is_small else None
                   for sz, is_small in zip(rnd.size_units, rnd.is_small))
     return rnd, _Layout(inst.machines, c, c_star, rnd.Tbar_units, space,
@@ -149,8 +153,7 @@ def _splittable_program(rnd, lay: _Layout, q: int) -> NFold:
                      lay.m * (q + 4))
 
 
-def build_splittable_nfold(inst: Instance, T, q: int,
-                           config_cap: int = 50_000) -> NFold:
+def build_splittable_nfold(inst: Instance, T, q: int) -> NFold:
     """The N-fold IP of Section 4.1 for guess ``T`` (feasibility: w = 0).
 
     Brick ``u`` holds ``x^u_K``, ``y^u_q``, ``z^u_{h,b}`` and one slack
@@ -159,7 +162,7 @@ def build_splittable_nfold(inst: Instance, T, q: int,
     uniform rows: (4), (5).
     """
     inst = inst.normalized()
-    rnd, lay = _splittable_layout(inst, T, q, config_cap)
+    rnd, lay = _splittable_layout(inst, T, q)
     return _splittable_program(rnd, lay, q)
 
 
@@ -180,13 +183,12 @@ def _cut_splittable(S: int, Tbar: int, smallest: int) -> dict[int, int]:
     return {sz: k for sz, k in sizes.items() if k}
 
 
-def splittable_nfold_with_point(inst: Instance, T, q: int,
-                                config_cap: int = 50_000
+def splittable_nfold_with_point(inst: Instance, T, q: int
                                 ) -> tuple[NFold, np.ndarray | None]:
     """:func:`build_splittable_nfold` plus a constructed point of it
     (``None`` when the packing does not place everything)."""
     inst = inst.normalized()
-    rnd, lay = _splittable_layout(inst, T, q, config_cap)
+    rnd, lay = _splittable_layout(inst, T, q)
     nf = _splittable_program(rnd, lay, q)
     c = lay.c
     # module size l*c sits in y column l - q
@@ -201,7 +203,7 @@ def splittable_nfold_with_point(inst: Instance, T, q: int,
 # Section 4.2: non-preemptive
 # --------------------------------------------------------------------- #
 
-def _nonpreemptive_layout(inst: Instance, T: int, q: int, enum_cap: int):
+def _nonpreemptive_layout(inst: Instance, T: int, q: int):
     grouped = group_jobs(inst, T, q)
     rnd = round_grouped(inst, grouped, T, q,
                         tbar_factor_num=(q + 3) * (q + 2),
@@ -210,13 +212,13 @@ def _nonpreemptive_layout(inst: Instance, T: int, q: int, enum_cap: int):
     c = inst.class_slots
     Tbar = rnd.Tbar_units
     P = list(rnd.distinct_sizes) or [q * c]
-    # the module enumeration as {multiset: y column}, memoised with it
-    modules = multiset_index(P, Tbar // min(P), Tbar, cap=enum_cap,
-                             include_empty=False)
+    # the memoised module enumeration itself, as {multiset: y column}
+    modules = _enumerate_cached(tuple(P), Tbar // min(P), Tbar, None,
+                                _ENUM_CAP, False)
     totals = tuple(multiset_total(ms) for ms in modules)
     c_star = min(c, Tbar // (q * c))
     space = build_configuration_space(sorted(set(totals)), c_star, Tbar,
-                                      cap=enum_cap)
+                                      cap=_ENUM_CAP)
     small = tuple(sz if g.is_small else None
                   for sz, g in zip(rnd.small_size, grouped.classes))
     lay = _Layout(inst.machines, c, c_star, Tbar, space,
@@ -244,8 +246,7 @@ def _nonpreemptive_program(rnd, lay: _Layout, P: list[int],
                      b_local, lay.m * max(lay.c_star, 1))
 
 
-def build_nonpreemptive_nfold(inst: Instance, T: int, q: int,
-                              enum_cap: int = 50_000) -> NFold:
+def build_nonpreemptive_nfold(inst: Instance, T: int, q: int) -> NFold:
     """The N-fold IP of Section 4.2 for guess ``T`` (feasibility: w = 0).
 
     Modules here are the *global* set of job-size multisets fitting the
@@ -254,19 +255,18 @@ def build_nonpreemptive_nfold(inst: Instance, T: int, q: int,
     (5) — ``s = |P| + 1`` as the paper states.
     """
     inst = inst.normalized()
-    rnd, lay, P, modules = _nonpreemptive_layout(inst, T, q, enum_cap)
+    rnd, lay, P, modules = _nonpreemptive_layout(inst, T, q)
     return _nonpreemptive_program(rnd, lay, P, modules)
 
 
-def nonpreemptive_nfold_with_point(inst: Instance, T: int, q: int,
-                                   enum_cap: int = 50_000
+def nonpreemptive_nfold_with_point(inst: Instance, T: int, q: int
                                    ) -> tuple[NFold, np.ndarray | None]:
     """:func:`build_nonpreemptive_nfold` plus a constructed point of it
     (``None`` when the packing does not place everything). Each large
     class's rounded grouped jobs are packed into modules by first-fit
     decreasing, each of total at most ``T-bar``."""
     inst = inst.normalized()
-    rnd, lay, P, modules = _nonpreemptive_layout(inst, T, q, enum_cap)
+    rnd, lay, P, modules = _nonpreemptive_layout(inst, T, q)
     nf = _nonpreemptive_program(rnd, lay, P, modules)
     per_class = []
     for u, p_small in enumerate(lay.small):

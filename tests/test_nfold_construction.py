@@ -30,7 +30,7 @@ def _brick_parts(inst: Instance, T, q: int = 2):
     buckets)``, read back through the layout."""
     nf, x = splittable_nfold_with_point(inst, T, q)
     assert x is not None and nf.is_feasible(x)
-    _, lay = _splittable_layout(inst.normalized(), T, q, 50_000)
+    _, lay = _splittable_layout(inst.normalized(), T, q)
     nK, nM, nB = lay.columns
     parts = []
     for u in range(nf.N):
