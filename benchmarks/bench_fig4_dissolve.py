@@ -42,7 +42,7 @@ def test_fig4_single_guess_cost(benchmark):
     T = int(sum(inst.processing_times) / inst.machines * 1.3)
 
     def run():
-        art = _solve_guess(inst, T, 2, 200_000)
+        art = _solve_guess(inst, T, 2)
         return _build_schedule(inst, art)
 
     sched = benchmark(run)

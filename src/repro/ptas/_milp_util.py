@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
+from scipy.sparse import csr_matrix
 
 from ..core.errors import SolverError
 
@@ -40,6 +40,26 @@ class FeasibilityMILP:
         self.var_lo[var] = lo
         self.var_hi[var] = hi
 
+    def matrix(self) -> csr_matrix:
+        """The constraint rows as one CSR matrix, built in one pass.
+
+        Columns are sorted within each row and zero coefficients
+        (``-0.0`` included) are dropped, so this is the canonical matrix
+        that assigning the rows into a ``lil_matrix`` would give.
+        """
+        indptr = [0]
+        indices: list[int] = []
+        data: list[float] = []
+        for coeffs in self.rows:
+            for k in sorted(coeffs):
+                v = coeffs[k]
+                if v:
+                    indices.append(k)
+                    data.append(v)
+            indptr.append(len(indices))
+        return csr_matrix((np.array(data, dtype=float), indices, indptr),
+                          shape=(len(self.rows), self.n))
+
     def solve(self, objective: dict[int, float] | None = None
               ) -> np.ndarray | None:
         """A feasible integral point, or ``None`` if proven infeasible.
@@ -48,16 +68,12 @@ class FeasibilityMILP:
         the PTAS uses it purely as a *balance heuristic* — feasibility and
         the worst-case guarantee are unaffected.
         """
-        A = lil_matrix((len(self.rows), self.n))
-        for r, coeffs in enumerate(self.rows):
-            for k, v in coeffs.items():
-                A[r, k] = v
         c_vec = np.zeros(self.n)
         if objective:
             for k, v in objective.items():
                 c_vec[k] = v
         res = milp(c=c_vec,
-                   constraints=LinearConstraint(A.tocsr(),
+                   constraints=LinearConstraint(self.matrix(),
                                                 np.array(self.lo),
                                                 np.array(self.hi)),
                    integrality=np.ones(self.n),

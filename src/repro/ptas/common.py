@@ -3,12 +3,17 @@
 All three PTASes follow Hochbaum–Shmoys dual approximation: a procedure
 ``try_guess(T)`` either produces a schedule of makespan ``(1+O(delta))T``
 or *proves* that no schedule of makespan ``T`` exists (the configuration
-ILP is infeasible). A binary search over guesses then yields the PTAS.
+ILP is infeasible). A search over guesses then yields the PTAS.
 
-The rejection test is one-sided — failure at ``T`` implies ``OPT > T`` —
-so the searches below maintain the invariant "everything below the final
-guess was rejected", giving ``T <= (1+delta) * OPT`` on the multiplicative
-grid (splittable) and ``T <= OPT`` on the integer grid (the other regimes,
+The searches below probe the low end of their window first: it is a
+certified lower bound, and the rounded guess ILPs accept it on most
+instances, so one probe usually settles the search. Only after that
+probe is rejected do they bisect the rest of the window. The rejection
+test is one-sided — failure at ``T`` implies ``OPT > T`` — and this
+order keeps the certificate the PTASes rely on: the returned guess is
+the low end itself, or its grid predecessor was probed and rejected.
+That gives ``T <= (1+delta) * OPT`` on the multiplicative grid
+(splittable) and ``T <= OPT`` on the integer grid (the other regimes,
 whose optima are integral).
 """
 
@@ -71,16 +76,19 @@ def integral_guess_search(lb: int, ub: int,
     """Smallest integral accepted guess in ``[lb, ub]``.
 
     ``try_guess`` returns an artifact on acceptance and raises
-    :class:`InfeasibleGuessError` on rejection. Because rejection at ``T``
-    proves ``OPT > T``, the returned guess is at most ``OPT`` whenever
-    acceptance is guaranteed for every ``T >= OPT`` (the PTAS lemmas).
-    Returns ``(guess, artifact, guesses_tried)``.
+    :class:`InfeasibleGuessError` on rejection. ``lb`` is probed first;
+    only if it is rejected is ``[lb + 1, ub]`` bisected. The returned
+    guess is ``lb`` or its predecessor was probed and rejected, and
+    rejection at ``T`` proves ``OPT > T``, so the guess is at most
+    ``OPT`` whenever acceptance is guaranteed for every ``T >= OPT`` (the
+    PTAS lemmas). Under monotone acceptance it is the smallest accepted
+    guess. Returns ``(guess, artifact, guesses_tried)``.
     """
     tried = 0
     lo, hi = lb, ub
     best: tuple[int, Any] | None = None
     while lo <= hi:
-        mid = (lo + hi) // 2
+        mid = lo if tried == 0 else (lo + hi) // 2
         tried += 1
         try:
             art = try_guess(mid)
@@ -100,9 +108,10 @@ def geometric_guess_search(lb: Fraction, ub: Fraction, delta: Fraction,
                            ) -> tuple[Fraction, Any, int]:
     """Accepted guess on the grid ``lb * (1+delta)^k``, smallest accepted k.
 
-    Guarantees ``guess <= (1+delta) * OPT``: the grid point directly below
-    the accepted one was rejected (or was the lower bound itself), and
-    rejection at ``T`` proves ``OPT > T``.
+    Grid point 0 (``lb``) is probed first; only if it is rejected are
+    points ``1..kmax`` bisected. Guarantees ``guess <= (1+delta) * OPT``:
+    the accepted point is ``lb`` or the grid point directly below it was
+    probed and rejected, and rejection at ``T`` proves ``OPT > T``.
     """
     lb, ub = Fraction(lb), Fraction(ub)
     if lb <= 0:
@@ -118,7 +127,7 @@ def geometric_guess_search(lb: Fraction, ub: Fraction, delta: Fraction,
     lo, hi = 0, kmax
     best: tuple[Fraction, Any] | None = None
     while lo <= hi:
-        mid = (lo + hi) // 2
+        mid = lo if tried == 0 else (lo + hi) // 2
         T = lb * step ** mid
         tried += 1
         try:

@@ -33,20 +33,10 @@ __all__ = ["ptas_nonpreemptive"]
 
 DEFAULT_MACHINE_CAP = 20_000
 
-
-def _reachable_module_sizes(sizes: tuple[int, ...], max_total: int,
-                            min_piece: int) -> list[int]:
-    """All achievable module sizes: sums of at least one job size, bounded
-    by ``max_total`` (unbounded multiplicity — a superset per class is
-    harmless, the coverage constraints prune it)."""
-    reach = [False] * (max_total + 1)
-    reach[0] = True
-    for v in range(min(sizes, default=max_total + 1), max_total + 1):
-        for p in sizes:
-            if p <= v and reach[v - p]:
-                reach[v] = True
-                break
-    return [v for v in range(min_piece, max_total + 1) if reach[v]]
+#: Most modules per class, and configurations, one guess may enumerate
+#: before the PTAS gives up with
+#: :class:`~repro.core.errors.CapacityExceededError`.
+_ENUM_CAP = 200_000
 
 
 @dataclass
@@ -60,8 +50,7 @@ class _GuessArtifact:
 def ptas_nonpreemptive(inst: Instance,
                        epsilon: float | Fraction | None = None,
                        delta: Fraction | int | None = None,
-                       machine_cap: int = DEFAULT_MACHINE_CAP,
-                       enum_cap: int = 200_000) -> PTASResult:
+                       machine_cap: int = DEFAULT_MACHINE_CAP) -> PTASResult:
     """(1 + eps)-approximation for non-preemptive CCS (Theorem 14)."""
     inst = inst.normalized()
     # feasibility first: an infeasible instance is 'infeasible' from
@@ -77,7 +66,7 @@ def ptas_nonpreemptive(inst: Instance,
     ub = int(trivial_upper_bound(inst))
 
     def try_guess(T: int) -> _GuessArtifact:
-        return _solve_guess(inst, T, q, enum_cap)
+        return _solve_guess(inst, T, q)
 
     T, art, tried = integral_guess_search(lb, ub, try_guess)
     sched = _build_schedule(inst, art)
@@ -89,8 +78,7 @@ def ptas_nonpreemptive(inst: Instance,
                       guesses_tried=tried)
 
 
-def _solve_guess(inst: Instance, T: int, q: int,
-                 enum_cap: int) -> _GuessArtifact:
+def _solve_guess(inst: Instance, T: int, q: int) -> _GuessArtifact:
     grouped = group_jobs(inst, T, q)
     rnd = round_grouped(inst, grouped, T, q,
                         tbar_factor_num=(q + 3) * (q + 2),
@@ -121,7 +109,7 @@ def _solve_guess(inst: Instance, T: int, q: int,
         mods = enumerate_bounded_multisets(
             vals, max_items=Tbar // min(vals), max_total=Tbar,
             max_count_per_value=[counts[v] for v in vals],
-            cap=enum_cap, include_empty=False)
+            cap=_ENUM_CAP, include_empty=False)
         class_modules[u] = mods
 
     lambda_set = sorted({multiset_total(ms)
@@ -130,7 +118,7 @@ def _solve_guess(inst: Instance, T: int, q: int,
     if not lambda_set and large:
         raise InfeasibleGuessError("no modules available")
     space = build_configuration_space(lambda_set or [min_piece], c_star,
-                                      Tbar, cap=enum_cap)
+                                      Tbar, cap=_ENUM_CAP)
     buckets = sorted(space.buckets)
     lam_index = {v: i for i, v in enumerate(lambda_set)}
 

@@ -40,14 +40,18 @@ __all__ = ["ptas_splittable"]
 #: covered by the constant-factor compact solver, not the PTAS.
 DEFAULT_MACHINE_CAP = 20_000
 
+#: Most configurations one guess may enumerate before the PTAS gives up
+#: with :class:`~repro.core.errors.CapacityExceededError`.
+_CONFIG_CAP = 300_000
+
 
 @lru_cache(maxsize=32)
-def _config_space(q: int, c: int, cap: int) -> ConfigurationSpace:
+def _config_space(q: int, c: int) -> ConfigurationSpace:
     """Configurations depend only on (q, c) — sizes are in scaled units."""
     modules = splittable_modules(q, c)
     c_star = min(q + 4, c)
     return build_configuration_space(modules, c_star, q * c * (q + 4),
-                                     cap=cap)
+                                     cap=_CONFIG_CAP)
 
 
 @dataclass
@@ -62,7 +66,6 @@ class _GuessArtifact:
 def ptas_splittable(inst: Instance, epsilon: float | Fraction | None = None,
                     delta: Fraction | int | None = None,
                     machine_cap: int = DEFAULT_MACHINE_CAP,
-                    config_cap: int = 300_000,
                     theorem11: bool = False) -> PTASResult:
     """(1 + eps)-approximation for splittable CCS.
 
@@ -84,7 +87,7 @@ def ptas_splittable(inst: Instance, epsilon: float | Fraction | None = None,
     dlt = Fraction(1, q)
 
     def try_guess(T: Fraction) -> _GuessArtifact:
-        return _solve_guess(inst, T, q, config_cap, theorem11=theorem11)
+        return _solve_guess(inst, T, q, theorem11=theorem11)
 
     T, art, tried = geometric_guess_search(lb, ub, dlt, try_guess)
     sched = _build_schedule(inst, art)
@@ -140,10 +143,10 @@ def _resolve_q(epsilon, delta) -> int:
 
 
 def _solve_guess(inst: Instance, T: Fraction, q: int,
-                 config_cap: int, theorem11: bool = False) -> _GuessArtifact:
+                 theorem11: bool = False) -> _GuessArtifact:
     rnd = round_splittable(inst, T, q)
     c, m = inst.class_slots, inst.machines
-    space = _config_space(q, c, config_cap)
+    space = _config_space(q, c)
     module_sizes = splittable_modules(q, c)
     size_index = {s: i for i, s in enumerate(module_sizes)}
     large = [u for u in range(inst.num_classes) if not rnd.is_small[u]]

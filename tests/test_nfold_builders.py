@@ -21,7 +21,7 @@ def micro() -> Instance:
 
 def compact_feasible_splittable(inst, T, q) -> bool:
     try:
-        sp_guess(inst, Fraction(T), q, 300_000)
+        sp_guess(inst, Fraction(T), q)
         return True
     except InfeasibleGuessError:
         return False
@@ -29,7 +29,7 @@ def compact_feasible_splittable(inst, T, q) -> bool:
 
 def compact_feasible_nonpreemptive(inst, T, q) -> bool:
     try:
-        np_guess(inst, T, q, 200_000)
+        np_guess(inst, T, q)
         return True
     except InfeasibleGuessError:
         return False

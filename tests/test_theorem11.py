@@ -33,7 +33,7 @@ class TestConstraintPreservesFeasibility:
             T = area * factor
             def feas(t11):
                 try:
-                    _solve_guess(inst, T, 2, 300_000, theorem11=t11)
+                    _solve_guess(inst, T, 2, theorem11=t11)
                     return True
                 except InfeasibleGuessError:
                     return False
