@@ -4,9 +4,10 @@ Framework of Algorithm 1 with three changes: the lower bound includes
 ``pmax``; the number of sub-groups per class is the sharper
 ``C_u = max(ceil(P_u/T), k_u + ceil(l_u/2))`` accounting for jobs larger
 than ``T/2`` and ``T/3`` (they cannot share machines freely); and classes
-are split into whole-job groups via LPT instead of being cut. A standard
-integral binary search replaces the border search (the optimum is integral
-but the border structure no longer captures ``C_u``).
+are split into whole-job groups via LPT instead of being cut. An integral
+guess search (:func:`~repro.core.bounds.smallest_slot_guess`) replaces the
+border search (the optimum is integral but the border structure no longer
+captures ``C_u``); it starts at the class-slot threshold of Lemma 2.
 
 Guarantee: makespan at most ``LB + (4/3) T <= (7/3) T <= (7/3) OPT``.
 """
@@ -20,7 +21,7 @@ from math import ceil
 from typing import Mapping
 
 from ..core.bounds import (area_bound, presorted_class_count,
-                           trivial_upper_bound)
+                           smallest_slot_guess, trivial_upper_bound)
 from ..core.errors import InfeasibleInstanceError
 from ..core.fastmath import fast_paths_enabled
 from ..core.instance import Instance
@@ -83,8 +84,8 @@ def solve_nonpreemptive(inst: Instance) -> NonPreemptiveResult:
 
     per_class = [[inst.processing_times[j] for j in inst.jobs_by_class[u]]
                  for u in range(inst.num_classes)]
-    # sorted views + sums precomputed once: the binary search re-evaluates
-    # the Theorem 6 counts O(log UB) times
+    # sorted views + sums precomputed once: the guess search re-evaluates
+    # the Theorem 6 counts
     per_class_asc = [sorted(pjs) for pjs in per_class]
     per_class_sum = [sum(pjs) for pjs in per_class]
 
@@ -110,22 +111,14 @@ def solve_nonpreemptive(inst: Instance) -> NonPreemptiveResult:
                 if counts is not None:
                     T = hint    # exact precomputed search result
     if T is None:
-        hi = int(trivial_upper_bound(inst))
-        lo = lb
-        # Standard binary search for the smallest feasible integral
-        # guess. The upper bound is always feasible: the optimum is
-        # <= UB and the counting argument is a valid lower bound on
-        # slots used by *any* schedule of makespan T, hence
-        # counts(UB) <= counts(OPT) <= c*m.
-        if group_counts(hi) is None:  # pragma: no cover - defensive
+        # The upper bound is always feasible: the optimum is <= UB and
+        # the counting argument is a valid lower bound on slots used by
+        # *any* schedule of makespan T, hence counts(UB) <= counts(OPT)
+        # <= c*m.
+        T = smallest_slot_guess(per_class_asc, per_class_sum, budget, lb,
+                                int(trivial_upper_bound(inst)))
+        if T is None:  # pragma: no cover - defensive
             raise InfeasibleInstanceError(inst.num_classes, budget)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if group_counts(mid) is not None:
-                hi = mid
-            else:
-                lo = mid + 1
-        T = hi
         counts = group_counts(T)
         assert counts is not None
 

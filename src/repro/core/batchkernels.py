@@ -15,8 +15,8 @@ the whole chunk in a handful of numpy passes:
 * :func:`split_count_many` — ``sum ceil(P_u * den / num)`` for one guess
   per cell, one pass over the concatenated loads.
 * :func:`nonpreemptive_guess_many` — Theorem 6's integral guess binary
-  search for many cells in lockstep, with the rare non-monotone pairing
-  lanes delegated to the exact scalar greedy.
+  search for many cells in lockstep, with the rare lanes whose greedy
+  pairing could decide the count delegated to the exact scalar greedy.
 * :func:`nonpreemptive_slots_ok_many` — the class-slot validation of
   many assignments in one ``unique``/``bincount`` sweep, mirroring the
   single-cell ``_nonpreemptive_ok_vec``.
@@ -78,10 +78,13 @@ def smallest_feasible_border_many(
     failed the int64 guard — their ``borders`` slot is meaningless and
     the caller must run the scalar search for them.
 
-    Identical to ``_smallest_feasible_border_fast`` per cell: the same
-    candidate set (one binary search over ``k in 1..m`` per distinct
-    load), the same feasibility predicate, and the same exact
-    cross-multiplied minimum at the end.
+    The same answer as the scalar ``smallest_feasible_border`` per cell,
+    by the reference's procedure, not the fast path's: one binary search
+    over ``k in 1..m`` per distinct load (every cell's searches in
+    lockstep), then the exact cross-multiplied minimum of the winning
+    borders. The scalar fast path bisects only the window around the
+    threshold instead; the two agree because both return the smallest
+    feasible border with ``k <= m``.
     """
     results: list[Fraction | None] = [None] * len(cells)
     scalar: list[int] = []
@@ -219,12 +222,15 @@ def nonpreemptive_guess_many(
     quadruples of *normalized feasible* instances.  Returns ``(guesses,
     scalar_indices)``: ``guesses[i]`` is the smallest integral ``T`` with
     ``sum_u C_u(T) <= c * m`` — exactly what ``solve_nonpreemptive``'s
-    scalar binary search computes — and ``scalar_indices`` lists cells
+    scalar guess search computes — and ``scalar_indices`` lists cells
     whose magnitudes fail the int64 guard (their slot is ``None`` and the
     caller runs the scalar search).
 
-    All cells' searches advance in lockstep over the same bounds the
-    scalar uses (``lo = max(pmax, ceil(area))``, ``hi = c * max_u P_u``).
+    All cells' searches bisect in lockstep over the full window of the
+    scalar's reference search (``lo = max(pmax, ceil(area))``, ``hi = c *
+    max_u P_u``); the scalar fast path probes the class-slot threshold
+    first, and both return the same ``T`` because the counts never
+    increase as ``T`` grows.
     Each iteration computes every class's ``C1_u = ceil(P_u/T)`` and the
     job-size buckets ``k_u`` (``2 p > T``) and ``mid_u`` (``T >= 2 p``,
     ``3 p > T``) in one vectorised pass.  ``C2_u`` needs the greedy

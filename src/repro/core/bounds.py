@@ -28,6 +28,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import ceil
 
+from .fastmath import fast_paths_enabled
 from .instance import Instance
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "class_slot_bound",
     "nonpreemptive_class_count",
     "presorted_class_count",
+    "smallest_slot_guess",
     "nonpreemptive_slot_bound",
     "splittable_lower_bound",
     "preemptive_lower_bound",
@@ -89,9 +91,16 @@ def nonpreemptive_class_count(pjs: list[int], T: int) -> int:
 
 def presorted_class_count(pjs_asc: list[int], total: int, T: int) -> int:
     """:func:`nonpreemptive_class_count` for callers that loop over guesses
-    (the Theorem 6 binary searches): takes the job sizes pre-sorted
+    (the Theorem 6 guess searches): takes the job sizes pre-sorted
     ascending plus their precomputed sum, so the per-guess work drops to
-    two bisections and the pairing scan instead of a sort and a sum."""
+    two bisections and the pairing scan instead of a sort and a sum.
+
+    The count never increases as ``T`` grows, which makes the bisection
+    in :func:`smallest_slot_guess` exact: ``ceil(P/T)`` cannot rise, and
+    the greedy pairing is a maximum matching on nested sets, so ``2k +
+    |mid| - pairs`` never rises either (the property test in
+    ``tests/test_bounds.py`` spells the argument out).
+    """
     if T <= 0:
         raise ValueError("T must be positive")
     c1 = -((-total) // T)
@@ -116,28 +125,44 @@ def presorted_class_count(pjs_asc: list[int], total: int, T: int) -> int:
     return max(c1, c2, 1)
 
 
-def nonpreemptive_slot_bound(inst: Instance) -> int:
-    """Smallest integral ``T >= pmax`` with ``sum_u C_u(T) <= c * m``."""
-    inst = inst.normalized()
-    budget = inst.class_slots * inst.machines
-    per_class = [
-        sorted(inst.processing_times[j] for j in inst.jobs_by_class[u])
-        for u in range(inst.num_classes)
-    ]
-    per_class_sum = [sum(pjs) for pjs in per_class]
+def smallest_slot_guess(per_class_asc: list[list[int]],
+                        per_class_sum: list[int], budget: int, lo: int,
+                        hi: int) -> int | None:
+    """The Theorem 6 guess search: the smallest integral ``T`` in ``[lo,
+    hi]`` with ``sum_u C_u(T) <= budget``, or ``None`` when ``hi`` fails.
 
+    ``per_class_asc`` holds each class's job sizes sorted ascending and
+    ``per_class_sum`` their sums. ``C_u`` never increases as ``T`` grows
+    (:func:`presorted_class_count`), so a bisection over ``[lo, hi]`` is
+    exact. The fast path first probes ``max(lo, ceil(T0))``, with ``T0``
+    the class-slot threshold of
+    :func:`~repro.approx.borders.count_threshold`: ``C_u(T) >=
+    ceil(P_u/T)``, so no smaller integer passes, and the probe usually
+    does. Only when it is rejected does the bisection go on above it; the
+    reference (``use_fast_paths(False)``) bisects all of ``[lo, hi]``.
+    Both return the same ``T``.
+    """
     def feasible(T: int) -> bool:
         total = 0
-        for pjs, s in zip(per_class, per_class_sum):
+        for pjs, s in zip(per_class_asc, per_class_sum):
             total += presorted_class_count(pjs, s, T)
             if total > budget:
                 return False
         return True
 
-    lo = inst.pmax
-    hi = max(lo, ceil(trivial_upper_bound(inst)))
+    if fast_paths_enabled():
+        from ..approx.borders import count_threshold
+
+        t0 = count_threshold(per_class_sum, budget)
+        # no integer below ceil(T0) passes (C_u(T) >= ceil(P_u/T)), and a
+        # passing probe <= hi means hi passes too
+        probe = hi + 1 if t0 is None else max(lo, ceil(t0))
+        if probe <= hi:
+            if feasible(probe):
+                return probe
+            lo = probe + 1
     if not feasible(hi):
-        return -1  # infeasible instance: C > c*m
+        return None
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible(mid):
@@ -145,6 +170,20 @@ def nonpreemptive_slot_bound(inst: Instance) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def nonpreemptive_slot_bound(inst: Instance) -> int:
+    """Smallest integral ``T >= pmax`` with ``sum_u C_u(T) <= c * m``."""
+    inst = inst.normalized()
+    per_class = [
+        sorted(inst.processing_times[j] for j in inst.jobs_by_class[u])
+        for u in range(inst.num_classes)
+    ]
+    lo = inst.pmax
+    T = smallest_slot_guess(per_class, [sum(pjs) for pjs in per_class],
+                            inst.class_slots * inst.machines, lo,
+                            max(lo, ceil(trivial_upper_bound(inst))))
+    return -1 if T is None else T  # None: infeasible instance, C > c*m
 
 
 def splittable_lower_bound(inst: Instance) -> Fraction:

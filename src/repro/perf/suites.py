@@ -58,7 +58,8 @@ _KERNEL_SHAPES = {
     "smoke": dict(n=400, C=40, m=10, c=3, p_hi=10_000),
     "full": dict(n=2000, C=100, m=50, c=3, p_hi=100_000),
 }
-#: Border-search shape: many classes, larger m (the search is O(C log m)).
+#: Border-search shape: many classes, larger m (the reference search runs
+#: O(C log m) counts; the fast path bisects at most 2C window borders).
 _BORDER_SHAPES = {
     "smoke": dict(C=120, m=64),
     "full": dict(C=500, m=200),

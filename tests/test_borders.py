@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.approx.borders import (advanced_binary_search, candidate_borders,
-                                  smallest_feasible_border, split_count)
+from repro.approx.borders import (_smallest_feasible_border_reference,
+                                  advanced_binary_search, candidate_borders,
+                                  count_threshold, smallest_feasible_border,
+                                  split_count)
+from repro.core.batchkernels import smallest_feasible_border_many
 
 
 class TestSplitCount:
@@ -91,3 +96,61 @@ class TestAdvancedBinarySearch:
 
     def test_infeasible(self):
         assert advanced_binary_search([1, 1, 1], 1, 2, Fraction(1)) is None
+
+
+@st.composite
+def border_cases(draw):
+    """Loads with zeros and repeats, ``m`` up to 10**15, and the budgets
+    at the window's edges: none, one short of the ``C'`` positive loads,
+    exactly ``C'``, one spare, and ``c * m``."""
+    loads = draw(st.lists(st.one_of(st.just(0), st.integers(1, 10**6)),
+                          min_size=1, max_size=10))
+    loads += draw(st.lists(st.sampled_from(loads), max_size=4))
+    m = draw(st.one_of(st.integers(1, 10), st.integers(1, 10**15)))
+    positive = sum(1 for P in loads if P > 0)
+    c = draw(st.integers(1, 4))
+    budget = draw(st.sampled_from(
+        [0, max(positive - 1, 0), positive, positive + 1, c * m]))
+    return loads, m, budget
+
+
+class TestWindowedSearch:
+    @given(border_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_and_lockstep_kernel(self, case):
+        loads, m, budget = case
+        ref = _smallest_feasible_border_reference(loads, m, budget)
+        assert smallest_feasible_border(loads, m, budget) == ref
+        many, scalar = smallest_feasible_border_many([(loads, m, budget)])
+        if not scalar:
+            assert many[0] == ref
+
+    @given(border_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_threshold_is_the_uncapped_border(self, case):
+        # with m >= budget the k <= m cap never binds: every window
+        # border has k <= P_u * budget / S <= budget
+        loads, _, budget = case
+        t0 = count_threshold(loads, budget)
+        assert t0 == _smallest_feasible_border_reference(
+            loads, max(budget, 1), budget)
+        if t0 is not None:
+            assert split_count(loads, t0) <= budget
+
+    def test_float_ties_are_ordered_exactly(self):
+        # (2**53 + 1)/1 and (3 * 2**53 + 1)/3 round to the same double
+        # and enumerate in the wrong exact order; both lie in the window
+        # of budget 5, and only the smaller one is the threshold
+        loads = [2**53 + 1, 3 * 2**53 + 1]
+        assert float(Fraction(loads[0], 1)) == float(Fraction(loads[1], 3))
+        t0 = Fraction(loads[1], 3)
+        assert count_threshold(loads, 5) == t0
+        assert smallest_feasible_border(loads, 3, 5) == t0
+        assert _smallest_feasible_border_reference(loads, 3, 5) == t0
+
+    def test_cap_snaps_the_threshold(self):
+        # budget 12 on [12, 6] gives T0 = 12/8 (8 + 4 slots); m = 3 caps
+        # the larger class at k = 3, so the border is min(12/3, 6/3)
+        assert count_threshold([12, 6], 12) == Fraction(3, 2)
+        assert smallest_feasible_border([12, 6], 3, 12) == Fraction(2)
+        assert _smallest_feasible_border_reference([12, 6], 3, 12) == 2

@@ -1,18 +1,25 @@
 """Tests for the lower/upper bound machinery."""
 
 from fractions import Fraction
+from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Instance
+from repro.approx.nonpreemptive import solve_nonpreemptive
 from repro.core.bounds import (area_bound, class_slot_bound,
                                nonpreemptive_class_count,
                                nonpreemptive_lower_bound,
                                nonpreemptive_slot_bound, pmax_bound,
                                preemptive_lower_bound,
+                               presorted_class_count,
                                splittable_lower_bound, trivial_upper_bound)
+from repro.core.fastmath import use_fast_paths
 from repro.exact import opt_nonpreemptive, opt_preemptive, opt_splittable
+from repro.fuzz.generators import GENERATORS, draw_case
 from repro.workloads import uniform_instance
 
 
@@ -111,3 +118,75 @@ class TestSlotBoundNonPreemptive:
     def test_infeasible(self):
         inst = Instance((1, 1, 1), (0, 1, 2), 1, 2)
         assert nonpreemptive_slot_bound(inst) == -1
+
+    def test_threshold_probe_rejected(self):
+        # 3 x 5 in one class, 2 slots: ceil(15/T) <= 2 first at T = 8,
+        # where all three jobs exceed T/2; from T = 10 they pair as mids
+        inst = Instance((5, 5, 5), (0, 0, 0), 2, 1)
+        for fast in (True, False):
+            with use_fast_paths(fast):
+                assert nonpreemptive_slot_bound(inst) == 10
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_class_count_never_increases_from_pmax(p):
+    """``C_u(T) = max(ceil(P/T), C2, 1)`` never increases as ``T`` grows,
+    for ``T >= max(p)``: the guess searches bisect over that range.
+
+    ``C1 = ceil(P/T)`` cannot rise. ``C2 = k + ceil(l/2) = ceil(f/2)`` with
+    ``f = 2 * |big| + |mid| - M``, ``M`` the number of pairs the greedy
+    forms. The mid jobs that fit next to a big job ``b`` are those ``<= T
+    - b``, a prefix of the ascending mid jobs; the prefixes are nested,
+    smallest for the largest ``b``, which the greedy serves first, so
+    ``M`` is a maximum matching. From ``T`` to ``T + 1``: every prefix
+    grows, so ``M`` cannot fall; a mid job with ``3p = T + 1`` turns
+    small, ``|mid|`` falls by one and ``M`` by at most one; a big job with
+    ``2p = T + 1`` turns mid, ``2 * |big|`` falls by two, ``|mid|`` rises
+    by one and ``M`` falls by at most one. No step raises ``f``.
+    """
+    pjs = sorted(p)
+    total = sum(pjs)
+    counts = [presorted_class_count(pjs, total, T)
+              for T in range(pjs[-1], 3 * pjs[-1] + 3)]
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def _full_bisection(inst: Instance, lo: int) -> int | None:
+    """The Theorem 6 search as a plain bisection over all of ``[lo,
+    UB]``: the procedure the threshold-first search must agree with."""
+    per_class = [sorted(inst.processing_times[j]
+                        for j in inst.jobs_by_class[u])
+                 for u in range(inst.num_classes)]
+    budget = inst.class_slots * inst.machines
+
+    def feasible(T: int) -> bool:
+        return sum(presorted_class_count(pjs, sum(pjs), T)
+                   for pjs in per_class) <= budget
+
+    hi = max(lo, ceil(trivial_upper_bound(inst)))
+    if not feasible(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_guess_searches_match_full_bisection(family):
+    for i in range(10):
+        inst = draw_case(np.random.default_rng([606, i]),
+                         only=(family,)).instance.normalized()
+        slot = _full_bisection(inst, inst.pmax)
+        lb = max(inst.pmax, ceil(area_bound(inst)))
+        guess = _full_bisection(inst, lb) if inst.is_feasible() else None
+        for fast in (True, False):
+            with use_fast_paths(fast):
+                assert nonpreemptive_slot_bound(inst) == \
+                    (-1 if slot is None else slot)
+                if guess is not None:
+                    assert solve_nonpreemptive(inst).guess == guess
