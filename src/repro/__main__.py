@@ -761,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="jobs submitted in the campaign")
     ph.add_argument("--faults", default=None,
                     help="fault plan 'site:rate[:arg],...' (default: "
-                         "worker_kill + shm_attach + store_commit + "
+                         "worker_kill + chunk_raise + store_commit + "
                          "drainer_loop, all >= 5%%)")
     ph.add_argument("--url", default=None,
                     help="run against this live service instead of "

@@ -22,48 +22,15 @@ and the border is the minimum over ``u`` of ``P_u`` over that ``k``.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..core.fastmath import INT64_SAFE, fast_paths_enabled
-from ..core.native import NATIVE
 
 __all__ = ["split_count", "candidate_borders", "count_threshold",
-           "smallest_feasible_border", "advanced_binary_search",
-           "border_hints"]
-
-#: Precomputed border results installed by the batch engine. The
-#: multi-cell kernel (:mod:`repro.core.batchkernels`) solves a whole
-#: chunk's border searches in one vectorised pass, then replays each cell
-#: through the ordinary solver; the hint hands that precomputed answer
-#: back to :func:`smallest_feasible_border` when the *exact* arguments
-#: match. Thread-local so concurrent batch chunks cannot see each
-#: other's hints.
-_hints = threading.local()
-
-
-@contextmanager
-def border_hints(hints: Mapping[tuple[tuple[int, ...], int, int],
-                                Fraction | None]):
-    """Install precomputed ``smallest_feasible_border`` results.
-
-    ``hints`` maps ``(tuple(class_loads), m, budget)`` to the border the
-    search would return (or ``None`` for "no feasible border"). Only the
-    fast path consumes hints — the pure-``Fraction`` reference always
-    recomputes, preserving the golden-equivalence contract. The values
-    installed must be exact: the batch kernels are bit-identical to the
-    scalar search, so this is a cache, not an approximation.
-    """
-    prev = getattr(_hints, "value", None)
-    _hints.value = dict(hints)
-    try:
-        yield
-    finally:
-        _hints.value = prev
+           "smallest_feasible_border", "advanced_binary_search"]
 
 
 def _split_count_scaled(class_loads: Sequence[int], num: int,
@@ -86,8 +53,8 @@ def _split_count_vec(loads: np.ndarray, num: int, den: int) -> int:
 
 def _counter(loads: list[int]):
     """``(num, den) -> split_count(loads, num/den)`` on the fastest exact
-    kernel the magnitudes allow: the C core or numpy int64 under the
-    overflow guard, Python ints otherwise."""
+    kernel the magnitudes allow: numpy int64 under the overflow guard,
+    Python ints otherwise."""
     nc = len(loads)
     max_load = max(loads, default=0)
     arr = np.asarray(loads, dtype=np.int64) \
@@ -96,12 +63,9 @@ def _counter(loads: list[int]):
     def count(num: int, den: int) -> int:
         # bound the whole accumulated sum, not just each term: the count
         # of an infeasibly small guess can dwarf any one ceil term
-        if 0 < num < INT64_SAFE \
+        if arr is not None and 0 < num < INT64_SAFE \
                 and nc * (max_load * den + 1) < INT64_SAFE:
-            if NATIVE is not None:
-                return NATIVE.split_count_scaled(loads, num, den)
-            if arr is not None:
-                return _split_count_vec(arr, num, den)
+            return _split_count_vec(arr, num, den)
         return _split_count_scaled(loads, num, den)
     return count
 
@@ -220,11 +184,6 @@ def smallest_feasible_border(class_loads: Sequence[int], m: int,
     alone exceeds the budget (``C > c*m``): no schedule exists at all.
     """
     if fast_paths_enabled():
-        hints = getattr(_hints, "value", None)
-        if hints is not None:
-            key = (tuple(class_loads), m, budget)
-            if key in hints:
-                return hints[key]
         return _smallest_feasible_border_fast(class_loads, m, budget)
     return _smallest_feasible_border_reference(class_loads, m, budget)
 

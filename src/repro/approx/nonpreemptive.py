@@ -14,51 +14,18 @@ Guarantee: makespan at most ``LB + (4/3) T <= (7/3) T <= (7/3) OPT``.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import ceil
-from typing import Mapping
 
 from ..core.bounds import (area_bound, presorted_class_count,
                            smallest_slot_guess, trivial_upper_bound)
 from ..core.errors import InfeasibleInstanceError
-from ..core.fastmath import fast_paths_enabled
 from ..core.instance import Instance
 from ..core.schedule import NonPreemptiveSchedule
 from .lpt import lpt_partition
 from .round_robin import round_robin_assignment
 
-__all__ = ["NonPreemptiveResult", "solve_nonpreemptive", "guess_hints"]
-
-#: Precomputed guess-search results installed by the batch engine. The
-#: multi-cell kernel (:mod:`repro.core.batchkernels`) runs a whole
-#: chunk's Theorem 6 binary searches in one vectorised lockstep pass,
-#: then replays each cell through the ordinary solver; the hint hands
-#: that precomputed ``T`` back when the instance digest matches. Thread
-#: local so concurrent batch chunks cannot see each other's hints.
-_hints = threading.local()
-
-
-@contextmanager
-def guess_hints(hints: Mapping[str, int]):
-    """Install precomputed Theorem 6 guesses, keyed by the *normalized*
-    instance's content digest.
-
-    Only the fast path consumes hints — the reference path always
-    recomputes, preserving the golden-equivalence contract. Installed
-    values must be exact: the batch kernel is bit-identical to the
-    scalar search, so this is a cache, not an approximation. A hint
-    whose counts fail re-derivation is ignored (the solver falls back
-    to its own search), so a wrong hint can cost time, never change
-    a report.
-    """
-    prev = getattr(_hints, "value", None)
-    _hints.value = dict(hints)
-    try:
-        yield
-    finally:
-        _hints.value = prev
+__all__ = ["NonPreemptiveResult", "solve_nonpreemptive"]
 
 
 @dataclass(frozen=True)
@@ -101,26 +68,15 @@ def solve_nonpreemptive(inst: Instance) -> NonPreemptiveResult:
         return counts
 
     lb = max(inst.pmax, ceil(area_bound(inst)))
-    T = counts = None
-    if fast_paths_enabled():
-        hints = getattr(_hints, "value", None)
-        if hints is not None:
-            hint = hints.get(inst.digest())
-            if hint is not None:
-                counts = group_counts(hint)
-                if counts is not None:
-                    T = hint    # exact precomputed search result
-    if T is None:
-        # The upper bound is always feasible: the optimum is <= UB and
-        # the counting argument is a valid lower bound on slots used by
-        # *any* schedule of makespan T, hence counts(UB) <= counts(OPT)
-        # <= c*m.
-        T = smallest_slot_guess(per_class_asc, per_class_sum, budget, lb,
-                                int(trivial_upper_bound(inst)))
-        if T is None:  # pragma: no cover - defensive
-            raise InfeasibleInstanceError(inst.num_classes, budget)
-        counts = group_counts(T)
-        assert counts is not None
+    # The upper bound is always feasible: the optimum is <= UB and the
+    # counting argument is a valid lower bound on slots used by *any*
+    # schedule of makespan T, hence counts(UB) <= counts(OPT) <= c*m.
+    T = smallest_slot_guess(per_class_asc, per_class_sum, budget, lb,
+                            int(trivial_upper_bound(inst)))
+    if T is None:  # pragma: no cover - defensive
+        raise InfeasibleInstanceError(inst.num_classes, budget)
+    counts = group_counts(T)
+    assert counts is not None
 
     # Split each class into C_u groups of whole jobs via LPT, then round
     # robin the groups by non-ascending load.

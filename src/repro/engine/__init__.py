@@ -2,23 +2,22 @@
 
 * :class:`~repro.engine.report.SolveReport` — the one result record.
 * :func:`~repro.engine.runner.run_batch` — instances x algorithms with
-  process fan-out, per-run timeouts and caching.
-* :func:`~repro.engine.multicell.solve_many` — whole same-algorithm
-  chunks through the stacked batch kernels, byte-identical to per-cell
-  :func:`~repro.engine.runner.execute`.
-* :class:`~repro.engine.cache.ReportCache` — content-hash-keyed results.
+  process fan-out, per-run timeouts and caching, through one generator
+  (:func:`~repro.engine.runner.iter_batch`) that ``Session.stream``
+  shares.
 * :mod:`~repro.engine.pool` — the persistent process pool behind every
   parallel batch (:func:`~repro.engine.pool.shutdown_pool` to release).
-* :mod:`~repro.engine.shm` — the shared-memory instance transport the
-  pooled batches ship their work through.
+
+The result cache (:class:`~repro.resultcache.ReportCache`,
+:func:`~repro.resultcache.cache_key`) lives in :mod:`repro.resultcache`;
+both names are re-exported here.
 """
 
 from ..resultcache import ReportCache, cache_key
-from .multicell import solve_many
 from .pool import get_pool, pool_id, shutdown_pool
 from .report import SolveReport
 from .runner import DEFAULT_WORKERS, execute, run_batch
 
 __all__ = ["SolveReport", "ReportCache", "cache_key", "execute",
-           "run_batch", "solve_many", "DEFAULT_WORKERS", "get_pool",
-           "pool_id", "shutdown_pool"]
+           "run_batch", "DEFAULT_WORKERS", "get_pool", "pool_id",
+           "shutdown_pool"]

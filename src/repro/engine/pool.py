@@ -53,8 +53,8 @@ _POOL_WIDTH = REGISTRY.gauge(
     "repro_pool_width", "Max workers of the live shared process pool "
     "(0 when not running).")
 _POOL_TASKS = REGISTRY.counter(
-    "repro_pool_tasks_total", "Chunks/cells submitted to the shared "
-    "process pool.")
+    "repro_pool_tasks_total", "Chunks submitted to the shared process "
+    "pool.")
 _POOL_BATCHES = REGISTRY.gauge(
     "repro_pool_batches_active", "Pooled batches currently in flight.")
 _POOL_REBUILDS = REGISTRY.counter(
@@ -207,11 +207,6 @@ def shutdown_pool(wait: bool = True, *, cancel_futures: bool = False) -> None:
     _POOL_WIDTH.set(0)
     if pool is not None:
         pool.shutdown(wait=wait, cancel_futures=cancel_futures)
-    if cancel_futures:
-        # abandoned work never reads its shared-memory segments; sweep
-        # them so a cancelled shutdown cannot leak /dev/shm entries
-        from . import shm
-        shm.release_all()
 
 
 atexit.register(shutdown_pool, wait=False, cancel_futures=True)

@@ -9,17 +9,22 @@ instance/algorithm loops. It
 * fans tasks out over the engine's *persistent* process pool
   (:mod:`repro.engine.pool` — warm workers survive across batches;
   ``workers=0`` runs inline, which the benchmarks use to keep timings
-  honest), shipping each distinct instance to a worker once per batch
-  chunk instead of once per cell,
+  honest), in pickled chunks of cells grouped by instance, so each
+  distinct instance crosses to a worker once per chunk instead of once
+  per cell; a worker solves each cell of its chunk with :func:`execute`,
 * enforces a per-run wall-clock timeout — ``SIGALRM`` where available
   (POSIX main threads, i.e. the pool workers), a watchdog-thread fallback
   everywhere else (Windows, service queue drainers),
 * validates every schedule with :mod:`repro.core.validation` before
   trusting its makespan,
-* consults/fills an optional :class:`~repro.engine.cache.ReportCache`
+* consults/fills an optional :class:`~repro.resultcache.ReportCache`
   keyed by instance content hash, and
 * solves each distinct (instance, algorithm, kwargs) cell once per batch,
   even when the grid repeats it.
+
+All of that happens in one generator, :func:`iter_batch`, which yields
+each cell's report as soon as it is known. :func:`run_batch` puts its
+output in grid order; ``Session.stream`` passes it on as it comes.
 
 Every run — success, timeout, infeasibility or crash — yields exactly one
 :class:`~repro.engine.report.SolveReport`; a batch never raises because a
@@ -38,7 +43,9 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import (Any, Callable, Iterable, Iterator, Mapping,
+                    Sequence)
 
 from ..core.errors import (CapacityExceededError, InfeasibleInstanceError,
                            InfeasibleScheduleError, InvalidInstanceError,
@@ -50,14 +57,13 @@ from ..faults import injection
 from ..obs.metrics import REGISTRY
 from ..obs.trace import current_trace_id, trace_context
 from ..registry import get_solver
-from . import shm
 from ..resultcache import (ReportCache, cache_key, is_cacheable,
                            relabel_hit)
 from .pool import (active_batches, batch_begin, batch_end, get_pool,
                    pool_max_workers, rebuild_pool, submit_task)
 from .report import SolveReport
 
-__all__ = ["run_batch", "execute", "execute_in_worker", "DEFAULT_WORKERS"]
+__all__ = ["run_batch", "iter_batch", "execute", "DEFAULT_WORKERS"]
 
 #: Default process fan-out; small enough not to oversubscribe CI boxes.
 DEFAULT_WORKERS = min(4, os.cpu_count() or 1)
@@ -184,10 +190,9 @@ def _base_fields(spec, inst: Instance, label: str) -> dict:
 
 def _trace_extra(base_extra: Mapping[str, Any] | None = None) -> dict:
     """A report's ``extra`` mapping, stamped with the ambient trace ID
-    when one is set. This is the single stamping point for both
-    ``execute`` and the batched ``solve_many`` path — with no trace
-    context active (library use, golden tests, corpus replay) the
-    reports stay byte-identical to pre-observability output."""
+    when one is set. With no trace context active (library use, golden
+    tests, corpus replay) the reports stay byte-identical to
+    pre-observability output."""
     extra = dict(base_extra) if base_extra else {}
     tid = current_trace_id()
     if tid is not None:
@@ -198,9 +203,8 @@ def _trace_extra(base_extra: Mapping[str, Any] | None = None) -> dict:
 def _failure_report(exc: BaseException, base: dict, elapsed: float,
                     timeout: float | None) -> SolveReport:
     """Map a solve/validate exception to its report — the single failure
-    taxonomy :func:`execute` and the batch ``solve_many`` path share, so
-    a batched cell fails byte-identically to an inline one. Non-solver
-    ``BaseException``s (``KeyboardInterrupt``...) propagate."""
+    taxonomy of :func:`execute`. Non-solver ``BaseException``s
+    (``KeyboardInterrupt``...) propagate."""
     if isinstance(exc, _TimeoutExceeded):
         status, error = "timeout", f"exceeded {timeout:g}s"
     elif isinstance(exc, (UnsupportedInstanceError, CapacityExceededError)):
@@ -222,7 +226,7 @@ def _failure_report(exc: BaseException, base: dict, elapsed: float,
 
 def _ok_report(raw, makespan, validated: bool, base: dict, elapsed: float,
                keep_schedule: bool = False) -> SolveReport:
-    """Assemble the success report — shared with ``solve_many``."""
+    """Assemble the success report of :func:`execute`."""
     extra = _trace_extra(raw.extra)
     if keep_schedule and raw.schedule is not None:
         from ..io import schedule_to_dict
@@ -276,12 +280,6 @@ def execute(inst: Instance, algorithm: str,
                       keep_schedule)
 
 
-def _execute_task(task: tuple) -> SolveReport:
-    """Top-level so it pickles into pool workers."""
-    label, inst, name, kwargs, timeout = task
-    return execute(inst, name, kwargs, label=label, timeout=timeout)
-
-
 def _execute_chunk(groups: list[tuple[Instance, list[tuple]]],
                    fast_paths: bool = True,
                    trace_id: str | None = None
@@ -299,6 +297,7 @@ def _execute_chunk(groups: list[tuple[Instance, list[tuple]]],
     cross the process boundary either.
     """
     injection.maybe_kill_worker()
+    injection.maybe_raise("chunk_raise")
     from ..core.fastmath import use_fast_paths
     out: list[tuple[int, SolveReport]] = []
     with use_fast_paths(fast_paths), _maybe_trace(trace_id):
@@ -308,45 +307,6 @@ def _execute_chunk(groups: list[tuple[Instance, list[tuple]]],
                             timeout=timeout))
                 for i, label, name, kwargs, timeout in cells)
     return out
-
-
-def _execute_chunk_shm(seg_name: str, index: dict, cells: list[tuple],
-                       timeout: float | None,
-                       fast_paths: bool = True,
-                       trace_id: str | None = None
-                       ) -> list[tuple[int, SolveReport]]:
-    """Run one same-algorithm chunk addressed through shared memory.
-
-    ``cells`` is a list of ``(i, label, digest, name, kwargs)``; the
-    instances themselves never cross the process boundary — the worker
-    reads them from the published segment (or its digest-keyed decode
-    cache, which makes repeated warm batches ship nothing) and solves
-    the whole chunk through :func:`~repro.engine.multicell.solve_many`.
-    """
-    injection.maybe_kill_worker()
-    from ..core.fastmath import use_fast_paths
-    from . import shm
-    from .multicell import solve_many
-    ref = shm.SegmentRef(seg_name, index)
-    insts = shm.fetch_many(ref, {c[2] for c in cells})
-    with use_fast_paths(fast_paths), _maybe_trace(trace_id):
-        reps = solve_many([(label, insts[digest], name, kwargs)
-                           for _, label, digest, name, kwargs in cells],
-                          timeout=timeout)
-    return [(c[0], rep) for c, rep in zip(cells, reps)]
-
-
-def execute_in_worker(inst: Instance, name: str, kwargs: Mapping[str, Any],
-                      *, label: str = "", timeout: float | None = None,
-                      fast_paths: bool = True,
-                      trace_id: str | None = None) -> SolveReport:
-    """:func:`execute` for pool submission: applies the shipped
-    :mod:`repro.core.fastmath` switch and trace ID in the worker first
-    (see :func:`_execute_chunk`)."""
-    injection.maybe_kill_worker()
-    from ..core.fastmath import use_fast_paths
-    with use_fast_paths(fast_paths), _maybe_trace(trace_id):
-        return execute(inst, name, kwargs, label=label, timeout=timeout)
 
 
 def _usable_cores() -> int:
@@ -430,6 +390,185 @@ def _normalize_algorithms(algorithms) -> list[tuple[str, dict]]:
     return out
 
 
+def iter_batch(instances: Iterable[Instance | tuple[str, Instance]],
+               algorithms: Sequence[str | tuple[str, Mapping[str, Any]]],
+               *,
+               workers: int | None = None,
+               timeout: float | None = None,
+               cache: ReportCache | None = None
+               ) -> Iterator[tuple[int, SolveReport]]:
+    """Yield ``(cell_index, report)`` once for every cell of the grid.
+
+    Cells are numbered in :func:`run_batch`'s order (instances
+    outermost). The cells are planned first: cache lookups, and
+    in-batch dedupe of identical (instance content, algorithm, kwargs)
+    triples. Inline (``workers`` of 0 or 1, or at most one cell left to
+    solve) every cell is yielded in grid order. Pooled, the cache hits
+    come first; then each solved cell, followed by its duplicates, as
+    its chunk finishes. Solved cells are put in ``cache`` as they
+    arrive. A dead pool worker is survived once per call: the pool is
+    rebuilt and every chunk still outstanding resubmitted; a second
+    death propagates ``BrokenProcessPool``.
+    """
+    insts = _normalize_instances(instances)
+    algos = _normalize_algorithms(algorithms)
+    explicit_workers = workers is not None
+    if workers is None:
+        workers = DEFAULT_WORKERS
+
+    tasks: list[tuple] = []
+    keys: list[Any] = []
+    hits: list[SolveReport | None] = []
+    # the cell whose solve serves each cell: itself, an earlier cell
+    # with the same key (intra-batch dedup), or None for a cache hit
+    source: list[int | None] = []
+    first_index: dict[Any, int] = {}
+    for label, inst in insts:
+        for name, kwargs in algos:
+            if cache is not None:
+                key = cache_key(inst, name, kwargs)
+            else:
+                # no cache to address: intra-batch dedup only needs a
+                # cheap equality key, not the sha256/json cache key
+                key = (inst.digest(), name,
+                       tuple(sorted((k, repr(v))
+                                    for k, v in kwargs.items())))
+            hit = cache.get(key) if cache is not None else None
+            # hits are relabelled per cell: the cache keys on content,
+            # but the report belongs to this batch's row
+            hits.append(relabel_hit(hit, label)
+                        if hit is not None else None)
+            source.append(None if hit is not None
+                          else first_index.setdefault(key, len(tasks)))
+            keys.append(key)
+            tasks.append((label, inst, name, kwargs))
+
+    pending = [i for i, src in enumerate(source) if src == i]
+    cached_cells = source.count(None)
+    if cached_cells:
+        _BATCH_CELLS.inc(cached_cells, outcome="cached")
+    if len(tasks) - cached_cells > len(pending):
+        _BATCH_CELLS.inc(len(tasks) - cached_cells - len(pending),
+                         outcome="deduped")
+    if pending:
+        _BATCH_CELLS.inc(len(pending), outcome="solved")
+
+    def put(i: int, rep: SolveReport) -> SolveReport:
+        if cache is not None and is_cacheable(rep):
+            cache.put(keys[i], rep)
+        return rep
+
+    if workers <= 1 or len(pending) <= 1:
+        solved: dict[int, SolveReport] = {}
+        for i, (hit, src) in enumerate(zip(hits, source)):
+            if src == i:
+                label, inst, name, kwargs = tasks[i]
+                hit = solved[i] = put(i, execute(inst, name, kwargs,
+                                                 label=label,
+                                                 timeout=timeout))
+            elif src is not None:
+                hit = relabel_hit(solved[src], tasks[i][0])
+            yield i, hit
+        return
+
+    dups: dict[int, list[int]] = {i: [] for i in pending}
+    for i, (hit, src) in enumerate(zip(hits, source)):
+        if hit is not None:
+            yield i, hit
+        elif src != i:
+            dups[src].append(i)
+    batch_begin()
+    try:
+        # Chunking: cells group by instance, so each instance pickles
+        # once per chunk. Submissions are *windowed* to ``workers``
+        # in-flight chunks: the caller's fan-out stays a hard
+        # concurrency cap even when the shared pool is wider. The worker
+        # ask is capped by the post-dedupe chunk count, so a batch full
+        # of repeats cannot over-provision pool processes (under fork
+        # the pool pre-spawns its full width on first use).
+        groups: dict[str, list[int]] = {}
+        for i in pending:
+            groups.setdefault(tasks[i][1].digest(), []).append(i)
+        parallel = min(workers, _usable_cores())
+        if parallel < workers and len(groups) > parallel:
+            # the hardware cannot overlap more than ``parallel`` chunks;
+            # merging down to that saves one full IPC round trip per
+            # merged-away chunk
+            chunks = _packed_chunks(list(groups.values()), parallel)
+        else:
+            chunks = _balanced_chunks(list(groups.values()),
+                                      min(workers, len(pending)))
+        width = min(workers, len(chunks))
+        if explicit_workers and pool_max_workers() > workers \
+                and active_batches() == 1:
+            # explicit downsize: a one-off wide batch must not pin pool
+            # width forever. Only when this is the sole batch in flight
+            # — replacing the executor forks, and forking while sibling
+            # batches are mid-submission risks the fork-with-held-locks
+            # deadlock (see pool.active_batches)
+            get_pool(width, shrink=True)
+        fast = fast_paths_enabled()
+        # ship the ambient trace with each chunk: contextvars do not
+        # cross the process boundary (same reason fast_paths rides
+        # along), and the workers' own registries are invisible here
+        tid = current_trace_id()
+        queue = iter(chunks)
+        live: dict = {}     # Future -> chunk, for resubmission
+
+        def submit_chunk(chunk: list[int]) -> None:
+            _CHUNK_CELLS.observe(len(chunk))
+            by_digest: dict[str, tuple[Instance, list[tuple]]] = {}
+            for i in chunk:
+                label, inst, name, kwargs = tasks[i]
+                group = by_digest.setdefault(inst.digest(), (inst, []))
+                group[1].append((i, label, name, kwargs, timeout))
+            live[submit_task(width, _execute_chunk,
+                             list(by_digest.values()), fast, tid)] = chunk
+
+        def submit_next() -> None:
+            chunk = next(queue, None)
+            if chunk is not None:
+                submit_chunk(chunk)
+
+        for _ in range(width):
+            submit_next()
+        rebuilt = False
+        while live:
+            done, _ = wait(set(live), return_when=FIRST_COMPLETED)
+            for fut in done:
+                chunk = live.pop(fut)
+                try:
+                    results = fut.result()
+                except BrokenProcessPool:
+                    # a worker died mid-chunk. Rebuild the shared pool
+                    # once per call and resubmit everything still
+                    # outstanding (chunks whose futures also broke are
+                    # still in ``live`` — they ride along); a second
+                    # death in the same call is a real failure and
+                    # propagates.
+                    if rebuilt:
+                        raise
+                    rebuilt = True
+                    outstanding = [chunk, *live.values()]
+                    live.clear()
+                    rebuild_pool(width)
+                    for again in outstanding:
+                        submit_chunk(again)
+                    break
+                submit_next()
+                for i, rep in results:
+                    # worker-side observations died with the worker's
+                    # registry; re-observe from the returned report
+                    SOLVE_SECONDS.observe(rep.wall_time_s,
+                                          algorithm=rep.algorithm,
+                                          status=rep.status)
+                    yield i, put(i, rep)
+                    for d in dups[i]:
+                        yield d, relabel_hit(rep, tasks[d][0])
+    finally:
+        batch_end()
+
+
 def run_batch(instances: Iterable[Instance | tuple[str, Instance]],
               algorithms: Sequence[str | tuple[str, Mapping[str, Any]]],
               *,
@@ -452,185 +591,7 @@ def run_batch(instances: Iterable[Instance | tuple[str, Instance]],
     solved once; the duplicates share the first cell's report (marked
     ``cached=True``, relabelled per cell).
     """
-    insts = _normalize_instances(instances)
-    algos = _normalize_algorithms(algorithms)
-    explicit_workers = workers is not None
-    if workers is None:
-        workers = DEFAULT_WORKERS
-
-    tasks: list[tuple] = []
-    keys: list[Any] = []
-    reports: list[SolveReport | None] = []
-    first_index: dict[Any, int] = {}    # intra-batch dedup: key -> cell
-    dup_of: dict[int, int] = {}
-    for label, inst in insts:
-        for name, kwargs in algos:
-            i = len(tasks)
-            if cache is not None:
-                key = cache_key(inst, name, kwargs)
-            else:
-                # no cache to address: intra-batch dedup only needs a
-                # cheap equality key, not the sha256/json cache key
-                key = (inst.digest(), name,
-                       tuple(sorted((k, repr(v))
-                                    for k, v in kwargs.items())))
-            hit = cache.get(key) if cache is not None else None
-            # hits are relabelled per cell: the cache keys on content,
-            # but the report belongs to this batch's row
-            reports.append(relabel_hit(hit, label)
-                           if hit is not None else None)
-            keys.append(key)
-            tasks.append((label, inst, name, kwargs, timeout))
-            if hit is None:
-                if key in first_index:
-                    dup_of[i] = first_index[key]
-                else:
-                    first_index[key] = i
-
-    pending = [i for i, r in enumerate(reports)
-               if r is None and i not in dup_of]
-    cached_cells = sum(1 for r in reports if r is not None)
-    if cached_cells:
-        _BATCH_CELLS.inc(cached_cells, outcome="cached")
-    if dup_of:
-        _BATCH_CELLS.inc(len(dup_of), outcome="deduped")
-    if pending:
-        _BATCH_CELLS.inc(len(pending), outcome="solved")
-    if workers > 1 and len(pending) > 1:
-        # Transport: the batch's distinct instances live in one
-        # shared-memory segment so chunks ship only (digest, offset)
-        # references — instances stop being pickled per chunk. acquire()
-        # reuses a live segment when a recent batch already published
-        # the same instance set (the warm path publishes nothing at
-        # all). When shm is unavailable (platform, big-int m, /dev/shm
-        # full) the batch falls back to the pickle transport below.
-        distinct: dict[str, Instance] = {}
-        for i in pending:
-            distinct.setdefault(tasks[i][1].digest(), tasks[i][1])
-        seg = shm.acquire(distinct)
-        batch_begin()
-        try:
-            # Chunking. With the segment up, cells group by (algorithm,
-            # kwargs): each chunk is one multi-cell dispatch through
-            # solve_many's stacked kernels, and the instances it reads
-            # are already shared. The pickle fallback keeps the old
-            # by-instance grouping so each instance pickles once per
-            # chunk. Either way submissions are *windowed* to
-            # ``workers`` in-flight chunks: the caller's fan-out stays
-            # a hard concurrency cap even when the shared pool is
-            # wider. The worker ask is capped by the post-dedupe chunk
-            # count, so a batch full of repeats cannot over-provision
-            # pool processes (under fork the pool pre-spawns its full
-            # width on first use).
-            groups: dict[Any, list[int]] = {}
-            for i in pending:
-                gkey = (tasks[i][2], repr(sorted(tasks[i][3].items()))) \
-                    if seg is not None else tasks[i][1].digest()
-                groups.setdefault(gkey, []).append(i)
-            parallel = min(workers, _usable_cores())
-            if parallel < workers and len(groups) > parallel:
-                # the hardware cannot overlap more than ``parallel``
-                # chunks; merging down to that saves one full IPC round
-                # trip per merged-away chunk (solve_many regroups by
-                # algorithm inside the worker, so mixed chunks lose no
-                # kernel batching)
-                chunks = _packed_chunks(list(groups.values()), parallel)
-            else:
-                chunks = _balanced_chunks(list(groups.values()),
-                                          min(workers, len(pending)))
-            width = min(workers, len(chunks))
-            if explicit_workers and pool_max_workers() > workers \
-                    and active_batches() == 1:
-                # explicit downsize: a one-off wide batch must not pin
-                # pool width forever. Only when this is the sole batch in
-                # flight — replacing the executor forks, and forking
-                # while sibling batches are mid-submission risks the
-                # fork-with-held-locks deadlock (see pool.active_batches)
-                get_pool(width, shrink=True)
-            fast = fast_paths_enabled()
-            # ship the ambient trace with each chunk: contextvars do not
-            # cross the process boundary (same reason fast_paths rides
-            # along), and the workers' own registries are invisible here
-            tid = current_trace_id()
-            queue = iter(chunks)
-            live: dict = {}     # Future -> chunk, for resubmission
-
-            def submit_chunk(chunk: list[int]) -> None:
-                _CHUNK_CELLS.observe(len(chunk))
-                if seg is not None:
-                    cells = [(i, tasks[i][0], tasks[i][1].digest(),
-                              tasks[i][2], tasks[i][3]) for i in chunk]
-                    index = {d: seg.index[d]
-                             for d in {c[2] for c in cells}}
-                    live[submit_task(width, _execute_chunk_shm,
-                                     seg.name, index, cells, timeout,
-                                     fast, tid)] = chunk
-                    return
-                by_digest: dict[str, tuple[Instance, list[tuple]]] = {}
-                for i in chunk:
-                    inst = tasks[i][1]
-                    group = by_digest.setdefault(inst.digest(), (inst, []))
-                    group[1].append((i, tasks[i][0], tasks[i][2],
-                                     tasks[i][3], tasks[i][4]))
-                live[submit_task(width, _execute_chunk,
-                                 list(by_digest.values()), fast, tid)] = chunk
-
-            def submit_next() -> None:
-                chunk = next(queue, None)
-                if chunk is not None:
-                    submit_chunk(chunk)
-
-            for _ in range(width):
-                submit_next()
-            rebuilt = False
-            while live:
-                done, _ = wait(set(live), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    chunk = live.pop(fut)
-                    try:
-                        results = fut.result()
-                    except BrokenProcessPool:
-                        # a worker died mid-chunk. Rebuild the shared
-                        # pool once per batch and resubmit everything
-                        # still outstanding (chunks whose futures also
-                        # broke are still in ``live`` — they ride
-                        # along); a second death in the same batch is a
-                        # real failure and propagates.
-                        if rebuilt:
-                            raise
-                        rebuilt = True
-                        outstanding = [chunk] + list(live.values())
-                        live.clear()
-                        rebuild_pool(width)
-                        # the dying worker cannot have unpinned anything
-                        # (segments are parent-owned), but reacquire
-                        # re-pins defensively in case a sibling's sweep
-                        # released the segment while the pool was down
-                        seg = shm.reacquire(seg, distinct)
-                        for ch in outstanding:
-                            submit_chunk(ch)
-                        break
-                    for i, rep in results:
-                        reports[i] = rep
-                        # worker-side observations died with the worker's
-                        # registry; re-observe from the returned report
-                        SOLVE_SECONDS.observe(rep.wall_time_s,
-                                              algorithm=rep.algorithm,
-                                              status=rep.status)
-                    submit_next()
-        finally:
-            batch_end()
-            shm.unpin(seg)
-    else:
-        for i in pending:
-            reports[i] = _execute_task(tasks[i])
-
-    for i, src in dup_of.items():
-        reports[i] = relabel_hit(reports[src], tasks[i][0])
-
-    if cache is not None:
-        for i in pending:
-            rep = reports[i]
-            if is_cacheable(rep):
-                cache.put(keys[i], rep)
-    return reports      # type: ignore[return-value]
+    return [rep for _, rep in sorted(
+        iter_batch(instances, algorithms, workers=workers,
+                   timeout=timeout, cache=cache),
+        key=itemgetter(0))]

@@ -2,9 +2,10 @@
 
 :func:`run_chaos` drives a real :class:`~repro.service.SchedulingService`
 (or a remote one via ``--url``) through a seeded campaign of jobs while
-the :mod:`repro.faults.injection` registry kills pool workers, breaks
-shm attaches, fails store commits and murders drainer threads — then
-asserts the two lifecycle invariants the whole subsystem exists for:
+the :mod:`repro.faults.injection` registry kills pool workers, raises
+inside pooled chunks, fails store commits and murders drainer threads —
+then asserts the two lifecycle invariants the whole subsystem exists
+for:
 
 1. **No job is ever stuck.** Every submitted job reaches a terminal
    status (``done`` / ``failed`` / ``quarantined``) before the deadline,
@@ -16,7 +17,7 @@ asserts the two lifecycle invariants the whole subsystem exists for:
    exact :class:`fractions.Fraction` result.
 
 ``repro chaos`` is the CLI wrapper; CI runs it with a pinned seed
-against a live ``repro serve`` under worker-kill + shm-attach +
+against a live ``repro serve`` under worker-kill + chunk-raise +
 drainer-loop faults.
 """
 
@@ -46,7 +47,7 @@ __all__ = ["ChaosResult", "DEFAULT_FAULTS", "CHAOS_ALGOS",
 #: The fault plan ``repro chaos`` applies when none is given: every
 #: injection layer the lifecycle defends against, each well above the
 #: acceptance floor of 5%.
-DEFAULT_FAULTS = ("worker_kill:0.08,shm_attach:0.06,"
+DEFAULT_FAULTS = ("worker_kill:0.08,chunk_raise:0.06,"
                   "store_commit:0.08,drainer_loop:0.05")
 
 #: The algorithm grid each chaos job runs — fast solvers across the

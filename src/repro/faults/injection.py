@@ -3,7 +3,7 @@
 A *fault plan* maps site names to firing rates (plus an optional numeric
 argument), spelled ``site:rate[:arg]`` and comma-joined::
 
-    REPRO_FAULTS="worker_kill:0.1,shm_attach:0.05,store_commit:0.1"
+    REPRO_FAULTS="worker_kill:0.1,chunk_raise:0.05,store_commit:0.1"
     REPRO_FAULTS_SEED=7
 
 The environment is read lazily and re-checked on change, so pool workers
@@ -30,12 +30,11 @@ Sites currently wired in:
 
 ======================  =================================================
 ``worker_kill``         pool worker ``os._exit(17)`` at chunk entry
-``shm_attach``          raise in :func:`repro.engine.shm._attach`
+``chunk_raise``         pool worker raises at chunk entry
 ``store_commit``        raise in :meth:`JobStore.finish_job`
 ``drainer_loop``        raise in the drainer after claiming (thread dies)
 ``solve_delay``         sleep ``arg`` seconds inside the timed solve
 ``milp_probe``          HiGHS/scipy backend probe reports unavailable
-``native_probe``        compiled kernel core probe reports unavailable
 ======================  =================================================
 """
 
@@ -55,8 +54,8 @@ __all__ = ["FaultInjected", "FaultRule", "FaultPlan", "KNOWN_SITES",
            "should_fire", "maybe_raise", "maybe_kill_worker", "disabled"]
 
 KNOWN_SITES = frozenset({
-    "worker_kill", "shm_attach", "store_commit", "drainer_loop",
-    "solve_delay", "milp_probe", "native_probe",
+    "worker_kill", "chunk_raise", "store_commit", "drainer_loop",
+    "solve_delay", "milp_probe",
 })
 
 FAULTS_INJECTED = REGISTRY.counter(

@@ -1,6 +1,6 @@
 """The fuzzer's oracles: what must *always* hold, for every instance.
 
-Six families, each cheap enough to run thousands of times:
+Five families, each cheap enough to run thousands of times:
 
 ``reports``
     Universal report invariants. A provably infeasible instance
@@ -20,11 +20,6 @@ Six families, each cheap enough to run thousands of times:
     not just committed goldens: the scaled-integer kernels must produce
     byte-identical reports, and byte-identical schedules, to the
     pure-Fraction reference.
-
-``batch``
-    ``solve_many`` (the engine's stacked multi-cell kernels) must be
-    byte-identical to per-cell ``execute`` on random same-algorithm
-    chunks built from the case instance and rng-drawn mutations of it.
 
 ``metamorphic``
     Structure-preserving transformations with known effect: adding a
@@ -404,56 +399,6 @@ def fastpath_oracle(inst: Instance, specs: Sequence[SolverSpec],
 
 
 # --------------------------------------------------------------------- #
-# oracle: batched solve_many vs per-cell execute
-# --------------------------------------------------------------------- #
-
-def batch_oracle(inst: Instance, specs: Sequence[SolverSpec],
-                 session=None,
-                 rng: np.random.Generator | None = None
-                 ) -> list[Violation]:
-    """``solve_many`` must be byte-identical to per-cell ``execute``.
-
-    Builds a random same-algorithm chunk — the case instance plus
-    rng-drawn mutations of it (permutation, class relabeling, an extra
-    machine) — and runs it through the stacked multi-cell kernels and
-    through the scalar per-cell path. Any divergence in any report
-    field (status, makespan, guess, extras, ...) is a violation: the
-    batch transport must be invisible.
-    """
-    from ..engine.multicell import MULTI_CELL_ALGOS, solve_many
-    rng = rng if rng is not None else np.random.default_rng(0)
-    variants = [inst, _permuted(inst, rng), _relabeled(inst, rng),
-                inst.with_machines(inst.machines + 1)]
-    names = [spec.name for spec in specs]
-    batched = [n for n in names if n in MULTI_CELL_ALGOS]
-    # one foreign algorithm rides along to exercise the per-cell
-    # fallback inside the same chunk
-    foreign = [n for n in names if n not in MULTI_CELL_ALGOS]
-    chunk_names = batched + ([str(rng.choice(foreign))] if foreign else [])
-    cells = [(f"cell-{k}-{v}", variant, name, {})
-             for v, variant in enumerate(variants)
-             for k, name in enumerate(chunk_names)]
-    if not cells:
-        return []
-    many = solve_many(cells)
-    out: list[Violation] = []
-    for (label, variant, name, kwargs), rep in zip(cells, many):
-        ref = _stripped(execute(variant, name, kwargs, label=label))
-        got = _stripped(rep)
-        if got != ref:
-            diff = {k: (got.get(k), ref.get(k))
-                    for k in set(got) | set(ref)
-                    if got.get(k) != ref.get(k)}
-            out.append(Violation(
-                "batch", name,
-                f"solve_many report diverges from per-cell execute on "
-                f"{sorted(diff)} (cell {label})", variant,
-                {"diff": {k: [repr(a), repr(b)]
-                          for k, (a, b) in diff.items()}}))
-    return out
-
-
-# --------------------------------------------------------------------- #
 # oracle: metamorphic properties
 # --------------------------------------------------------------------- #
 
@@ -661,7 +606,6 @@ ORACLES: dict[str, Callable[..., list[Violation]]] = {
     "reports": reports_oracle,
     "differential": differential_oracle,
     "fastpath": fastpath_oracle,
-    "batch": batch_oracle,
     "metamorphic": metamorphic_oracle,
     "faults": faults_oracle,
 }

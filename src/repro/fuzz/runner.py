@@ -29,7 +29,7 @@ from ..obs.metrics import REGISTRY
 from ..obs.trace import trace_context
 from .generators import draw_case
 from .oracles import (DEFAULT_SOLVERS, ORACLES, PTAS_SOLVERS, Violation,
-                      _run_reports, batch_oracle, differential_oracle,
+                      _run_reports, differential_oracle,
                       eligible_solvers, fastpath_oracle, faults_oracle,
                       metamorphic_oracle, reports_oracle)
 from .shrinker import shrink_instance
@@ -171,7 +171,6 @@ def run_campaign(seed: int = 0, count: int = 100, *,
             if inst.num_jobs <= _DOUBLE_RUN_MAX_JOBS:
                 fast_specs = [s for s in specs if s.kind != "exact"]
                 found += fastpath_oracle(inst, fast_specs, session, rng())
-                found += batch_oracle(inst, fast_specs, session, rng())
                 found += metamorphic_oracle(inst, specs, session, rng(),
                                             reports=reports)
                 if i % _FAULTS_EVERY == 0 and inst.num_jobs <= 32:

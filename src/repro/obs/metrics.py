@@ -2,8 +2,8 @@
 
 The process-global :data:`REGISTRY` is the one place every layer of the
 stack records into — the HTTP server, the job queue, the report caches,
-the shared-memory transport, the process pool and the solver runner all
-get-or-create their instruments here, and ``GET /v1/metrics`` renders
+the process pool and the solver runner all get-or-create their
+instruments here, and ``GET /v1/metrics`` renders
 the whole registry in the Prometheus text exposition format (0.0.4).
 
 Everything is stdlib: per-metric locks make increments/observations

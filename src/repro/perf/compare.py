@@ -10,8 +10,8 @@ When both files carry a ``calibration_s`` machine-speed yardstick (see
 :func:`repro.perf.harness.measure_calibration`), ratios are scaled by
 the machines' relative speed before thresholding. No calibration makes
 up for a different build, though: :func:`build_mismatch` refuses a
-baseline whose optional accelerators (C core, shm transport) differ
-from the current run's, or that records none.
+baseline whose optional accelerators differ from the current run's
+(an older build's C core or shm transport), or that records none.
 
 CI policy (see ``.github/workflows/ci.yml``): warn over 1.25x on the
 noisy shared runners without failing the job, hard-fail over 2x. Local

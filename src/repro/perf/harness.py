@@ -115,15 +115,13 @@ def git_rev() -> str:
 
 def build_stamp() -> dict:
     """The build a run measures. ``accelerators`` are the optional layers
-    that change what the benches time — the compiled C core loaded, the
-    shared-memory transport enabled — and two results files compare only
-    when they agree (:func:`repro.perf.compare.build_mismatch`).
+    that change what the benches time, and two results files compare
+    only when they agree (:func:`repro.perf.compare.build_mismatch`).
+    The package has none left, so the map is empty; a baseline stamped
+    by an older build (``native_core``, ``shm_transport``) is refused.
     ``python`` and ``usable_cores`` are recorded for information only."""
-    from ..core.native import native_available
     from ..engine.runner import _usable_cores
-    from ..engine.shm import shm_enabled
-    return {"accelerators": {"native_core": native_available(),
-                             "shm_transport": shm_enabled()},
+    return {"accelerators": {},
             "python": platform.python_version(),
             "usable_cores": _usable_cores()}
 

@@ -36,10 +36,7 @@ from ..core.fastmath import use_fast_paths
 from ..core.instance import Instance, compute_digest
 from ..core.validation import validate_nonpreemptive
 from ..engine import run_batch
-from ..engine.multicell import solve_many
 from ..engine.pool import shutdown_pool
-from ..engine.runner import execute
-from ..engine.shm import set_shm_enabled, shm_enabled
 from ..nfold import NFold, augment, solve_dp, solve_milp
 from ..ptas.configurations import (_build_space_cached, _enumerate_cached,
                                    build_configuration_space,
@@ -363,72 +360,6 @@ def bench_batch_throughput(scale: str, repeats: int) -> BenchResult:
                "cold_cells_per_s": round(cells / min_cold, 1)})
 
 
-def bench_batch_shm(scale: str, repeats: int) -> BenchResult:
-    """Warm pooled batches with the shared-memory instance transport
-    against the same batches forced onto the pickle fallback — the
-    transport layer is the only variable."""
-    b = _BATCH_SHAPES[scale]
-    insts = [(f"shmb-{k}",
-              uniform_instance(np.random.default_rng(700 + k), n=b["n"],
-                               C=8, m=4, c=2, p_hi=100))
-             for k in range(b["instances"])]
-    algos = list(b["algorithms"])
-    cells = len(insts) * len(algos)
-
-    def body() -> None:
-        run_batch(insts, algos, workers=b["workers"])
-
-    was_enabled = shm_enabled()
-    try:
-        set_shm_enabled(True)
-        body()                              # warm pool + segment cache
-        med_shm, min_shm = time_callable(body, repeats=repeats)
-        set_shm_enabled(False)              # also releases live segments
-        body()
-        med_ref, min_ref = time_callable(body, repeats=repeats)
-    finally:
-        set_shm_enabled(was_enabled)
-        shutdown_pool(wait=True)
-    return BenchResult(
-        name=f"batch/shm/{cells}cells",
-        median_s=med_shm, min_s=min_shm, repeats=repeats, number=1,
-        shape=b,
-        speedup=round(min_ref / min_shm, 3), reference_median_s=med_ref,
-        extra={"cells": cells,
-               "shm_cells_per_s": round(cells / min_shm, 1),
-               "pickle_cells_per_s": round(cells / min_ref, 1)})
-
-
-def bench_multicell_kernels(scale: str, repeats: int) -> BenchResult:
-    """One :func:`~repro.engine.multicell.solve_many` dispatch over a
-    same-algorithm chunk against the equivalent per-cell ``execute``
-    loop — the stacked-kernel win in isolation, no pool or transport."""
-    b = _BATCH_SHAPES[scale]
-    insts = [uniform_instance(np.random.default_rng(800 + k), n=b["n"],
-                              C=8, m=4, c=2, p_hi=100)
-             for k in range(b["instances"])]
-    cells = [(f"mc-{k}-{a}", inst, a, {})
-             for k, inst in enumerate(insts) for a in b["algorithms"]]
-
-    def batched() -> None:
-        solve_many(cells)
-
-    def per_cell() -> None:
-        for label, inst, name, kwargs in cells:
-            execute(inst, name, kwargs, label=label)
-
-    batched()                               # warm caches
-    med_many, min_many = time_callable(batched, repeats=repeats)
-    med_ref, min_ref = time_callable(per_cell, repeats=repeats)
-    return BenchResult(
-        name=f"kernel/multicell/{len(cells)}cells",
-        median_s=med_many, min_s=min_many, repeats=repeats, number=1,
-        shape=b,
-        speedup=round(min_ref / min_many, 3), reference_median_s=med_ref,
-        extra={"cells": len(cells),
-               "batched_cells_per_s": round(len(cells) / min_many, 1)})
-
-
 def bench_solver_suite(scale: str, repeats: int) -> BenchResult:
     """End-to-end inline batch over a deterministic workload grid — the
     regression canary for overall solver throughput (no pool, no
@@ -460,8 +391,7 @@ _KERNEL_FAMILY = (bench_split_classes, bench_border_search, bench_digest,
                   bench_validate_nonpreemptive, bench_schedule_accounting,
                   bench_config_space)
 _NFOLD_FAMILY = (bench_nfold_build, bench_nfold_solve, bench_nfold_dp)
-_BATCH_FAMILY = (bench_batch_throughput, bench_batch_shm,
-                 bench_multicell_kernels, bench_solver_suite)
+_BATCH_FAMILY = (bench_batch_throughput, bench_solver_suite)
 
 SUITES: dict[str, tuple[tuple[Callable[[str, int], BenchResult], str], ...]]
 SUITES = {

@@ -1,9 +1,9 @@
 """The one result-cache module every consumer shares.
 
 Three layers used to live in three places — the engine's in-memory/disk
-:class:`ReportCache` (``engine/cache.py``), the service's persistent
-``results`` table (bottom of ``service/store.py``), and ad-hoc key
-helpers scattered between them. They are unified here:
+:class:`ReportCache`, the service's persistent ``results`` table
+(bottom of ``service/store.py``), and ad-hoc key helpers scattered
+between them. They are unified here:
 
 * **Keys and policy** — :func:`cache_key`, :func:`is_cacheable`,
   :func:`relabel_hit` and :data:`CACHE_KEY_VERSION` define *what* may be

@@ -14,6 +14,7 @@ from repro import Instance
 from repro.api import (BatchRequest, InProcessBackend, ProcessPoolBackend,
                        Session, SolveRequest, SolverQuery)
 from repro.engine import ReportCache
+from repro.engine.runner import _execute_chunk
 from repro.io import schedule_from_dict
 from repro.registry import (NoMatchingSolverError, UnknownSolverError,
                             find_solvers, select_solver)
@@ -307,6 +308,46 @@ class TestSessionLocal:
         assert sorted(r.cached for r in got) == [False, True]
         assert got[0].makespan == got[1].makespan
 
+    def test_inline_stream_keeps_grid_order_with_hits_and_duplicates(
+            self, inst, other):
+        cache = ReportCache()
+        session = Session(cache=cache)
+        session.solve_batch([("warm", other)], algorithms=["lpt"])
+        grid = [("a", inst), ("b", other), ("c", inst), ("d", other)]
+        got = list(session.stream(grid, algorithms=["greedy", "lpt"]))
+        assert [(r.instance_label, r.algorithm) for r in got] == \
+            [(label, algo) for label, _ in grid
+             for algo in ("greedy", "lpt")]
+        # b/lpt and d/lpt are cache hits; c and d repeat a and b
+        assert [r.cached for r in got] == \
+            [False, False, False, True, True, True, True, True]
+        assert [r.makespan for r in got] == [r.makespan for r in Session(
+            ).solve_batch(grid, algorithms=["greedy", "lpt"])]
+
+    def test_pool_stream_submits_the_batch_chunks(self):
+        # stream and solve_batch share one engine path: one 8x3 grid is
+        # the same number of pool tasks either way, not one per cell
+        import numpy as np
+        from repro.obs.metrics import REGISTRY
+        from repro.workloads import uniform_instance
+        grid = [(f"g{k}", uniform_instance(np.random.default_rng(k), n=20,
+                                           C=4, m=3, c=2))
+                for k in range(8)]
+        algos = ["splittable", "preemptive", "nonpreemptive"]
+        tasks = REGISTRY.get("repro_pool_tasks_total")
+        session = Session(workers=2)
+        before = tasks.value()
+        batch = session.solve_batch(grid, algorithms=algos)
+        batch_tasks = tasks.value() - before
+        before = tasks.value()
+        streamed = list(session.stream(grid, algorithms=algos))
+        stream_tasks = tasks.value() - before
+        assert stream_tasks == batch_tasks < len(grid) * len(algos)
+        assert sorted((r.instance_label, r.algorithm, r.makespan)
+                      for r in streamed) == \
+            sorted((r.instance_label, r.algorithm, r.makespan)
+                   for r in batch)
+
     def test_session_cache_is_wired_through(self, inst):
         cache = ReportCache()
         session = Session(cache=cache)
@@ -410,13 +451,12 @@ class TestSessionClose:
 # --------------------------------------------------------------------- #
 
 def _crash_once(sentinel, *args, **kwargs):    # pragma: no cover - worker
-    """``execute_in_worker``, except that the first call of all kills
-    its pool worker."""
+    """``runner._execute_chunk``, except that the first call of all
+    kills its pool worker."""
     try:
         os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL))
     except FileExistsError:
-        from repro.engine.runner import execute_in_worker
-        return execute_in_worker(*args, **kwargs)
+        return _execute_chunk(*args, **kwargs)
     os._exit(13)
 
 
@@ -441,11 +481,11 @@ class TestPoolStreamWorkerDeath:
                        r.guess) for r in reports)
 
     def test_stream_survives_one_worker_death(self, tmp_path, monkeypatch):
-        import repro.api.backends as backends
+        import repro.engine.runner as runner
         grid = self._grid()
         expected = Session().solve_batch(grid, algorithms=self.ALGOS)
         sentinel = tmp_path / "crashed"
-        monkeypatch.setattr(backends, "execute_in_worker",
+        monkeypatch.setattr(runner, "_execute_chunk",
                             functools.partial(_crash_once, str(sentinel)))
         got = list(Session(workers=2).stream(grid, algorithms=self.ALGOS))
         assert sentinel.exists()        # a worker really died
@@ -454,8 +494,8 @@ class TestPoolStreamWorkerDeath:
 
     def test_second_death_propagates(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
-        import repro.api.backends as backends
-        monkeypatch.setattr(backends, "execute_in_worker", _crash_always)
+        import repro.engine.runner as runner
+        monkeypatch.setattr(runner, "_execute_chunk", _crash_always)
         with pytest.raises(BrokenProcessPool):
             list(Session(workers=2).stream(self._grid(),
                                            algorithms=self.ALGOS))

@@ -11,7 +11,6 @@ from repro.approx.borders import (_smallest_feasible_border_reference,
                                   advanced_binary_search, candidate_borders,
                                   count_threshold, smallest_feasible_border,
                                   split_count)
-from repro.core.batchkernels import smallest_feasible_border_many
 
 
 class TestSplitCount:
@@ -117,13 +116,10 @@ def border_cases(draw):
 class TestWindowedSearch:
     @given(border_cases())
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference_and_lockstep_kernel(self, case):
+    def test_matches_reference(self, case):
         loads, m, budget = case
         ref = _smallest_feasible_border_reference(loads, m, budget)
         assert smallest_feasible_border(loads, m, budget) == ref
-        many, scalar = smallest_feasible_border_many([(loads, m, budget)])
-        if not scalar:
-            assert many[0] == ref
 
     @given(border_cases())
     @settings(max_examples=200, deadline=None)

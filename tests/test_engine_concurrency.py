@@ -10,7 +10,7 @@ import pytest
 
 from repro import Instance
 from repro.engine import ReportCache, SolveReport, execute, run_batch
-from repro.engine.cache import DEFAULT_MAX_ENTRIES
+from repro.resultcache import DEFAULT_MAX_ENTRIES
 from repro.workloads import uniform_instance
 
 

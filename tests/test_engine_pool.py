@@ -234,3 +234,37 @@ def test_chunked_reports_keep_grid_order_and_labels():
     assert [r.algorithm for r in pooled] == [r.algorithm for r in inline]
     assert [str(r.makespan) for r in pooled] == \
         [str(r.makespan) for r in inline]
+
+
+def _without_wall_time(reports):
+    out = []
+    for rep in reports:
+        d = rep.to_dict()
+        d.pop("wall_time_s", None)
+        out.append(d)
+    return out
+
+
+def test_pooled_batch_matches_inline_past_int64():
+    # m past int64: the pickled chunks carry Python ints, and every
+    # report equals the inline one
+    huge = [(label, inst.with_machines(2 ** 70))
+            for label, inst in _instances(3)]
+    algos = ["splittable", "preemptive", "nonpreemptive"]
+    pooled = run_batch(huge, algos, workers=2)
+    assert pool_id() is not None        # the pool did run the batch
+    inline = run_batch(huge, algos, workers=0)
+    assert _without_wall_time(pooled) == _without_wall_time(inline)
+
+
+def test_pooled_batch_matches_inline_on_every_fuzz_family():
+    from repro.fuzz.generators import GENERATORS, draw_case
+    insts = [(family, draw_case(np.random.default_rng([24, k]),
+                                only=(family,)).instance)
+             for k, family in enumerate(sorted(GENERATORS))]
+    algos = ["splittable", "preemptive", "nonpreemptive", "lpt", "greedy",
+             "ffd", "round-robin", "mcnaughton"]
+    pooled = run_batch(insts, algos, workers=2)
+    assert pool_id() is not None
+    inline = run_batch(insts, algos, workers=0)
+    assert _without_wall_time(pooled) == _without_wall_time(inline)

@@ -22,10 +22,10 @@ def _clean_registry(monkeypatch):
 
 class TestParsePlan:
     def test_roundtrip(self):
-        plan = parse_plan("worker_kill:0.1,shm_attach:0.05", seed=7)
+        plan = parse_plan("worker_kill:0.1,chunk_raise:0.05", seed=7)
         assert plan.seed == 7
         assert plan.rules["worker_kill"].rate == 0.1
-        assert plan.rules["shm_attach"].rate == 0.05
+        assert plan.rules["chunk_raise"].rate == 0.05
         assert parse_plan(plan.spec(), 7).spec() == plan.spec()
 
     def test_arg_parses(self):
@@ -74,13 +74,13 @@ class TestDraws:
         assert seq_a != seq_b
 
     def test_rate_edges(self):
-        plan = FaultPlan([FaultRule("shm_attach", 1.0),
+        plan = FaultPlan([FaultRule("chunk_raise", 1.0),
                           FaultRule("store_commit", 0.0)], seed=0)
-        assert all(plan.draw("shm_attach") for _ in range(10))
+        assert all(plan.draw("chunk_raise") for _ in range(10))
         assert not any(plan.draw("store_commit") for _ in range(10))
 
     def test_unknown_site_never_fires(self):
-        plan = FaultPlan([FaultRule("shm_attach", 1.0)], seed=0)
+        plan = FaultPlan([FaultRule("chunk_raise", 1.0)], seed=0)
         assert plan.draw("worker_kill") is None
 
 
@@ -100,23 +100,23 @@ class TestActivation:
         assert injection.should_fire("store_commit") is None
 
     def test_env_activation_lazy(self):
-        os.environ["REPRO_FAULTS"] = "shm_attach:1"
+        os.environ["REPRO_FAULTS"] = "chunk_raise:1"
         os.environ["REPRO_FAULTS_SEED"] = "9"
         try:
-            assert injection.should_fire("shm_attach") is not None
+            assert injection.should_fire("chunk_raise") is not None
             assert injection.active_plan().seed == 9
             # a spec change is picked up without reset()
             os.environ["REPRO_FAULTS"] = "store_commit:1"
-            assert injection.should_fire("shm_attach") is None
+            assert injection.should_fire("chunk_raise") is None
             assert injection.should_fire("store_commit") is not None
         finally:
             del os.environ["REPRO_FAULTS"], os.environ["REPRO_FAULTS_SEED"]
 
     def test_configure_overrides_env(self):
-        os.environ["REPRO_FAULTS"] = "shm_attach:1"
+        os.environ["REPRO_FAULTS"] = "chunk_raise:1"
         try:
             injection.configure("store_commit:1")
-            assert injection.should_fire("shm_attach") is None
+            assert injection.should_fire("chunk_raise") is None
             assert injection.should_fire("store_commit") is not None
         finally:
             del os.environ["REPRO_FAULTS"]

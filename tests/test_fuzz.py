@@ -141,34 +141,6 @@ class TestOracles:
                                   eligible_solvers(inst, ("splittable",)))
         assert "extra" in violation.message
 
-    def test_batch_oracle_clean(self):
-        inst = Instance((7, 11, 13, 5), (0, 1, 0, 2), 7, 2)
-        specs = eligible_solvers(
-            inst, ("splittable", "nonpreemptive", "lpt"))
-        assert not run_oracle("batch", inst, specs, None,
-                              np.random.default_rng(5))
-
-    def test_batch_oracle_catches_divergence(self, monkeypatch):
-        # sabotage the stacked border kernel: the oracle must notice the
-        # splittable batch reports drifting from per-cell execute
-        from repro.engine import multicell
-        from repro.fuzz.oracles import batch_oracle
-
-        def wrong_borders(cells):
-            from fractions import Fraction
-            # far above the true border (a too-small one would be masked
-            # by the area lower bound inside advanced_binary_search)
-            return [Fraction(10 ** 6)] * len(cells), []
-
-        monkeypatch.setattr(multicell, "smallest_feasible_border_many",
-                            wrong_borders)
-        inst = Instance((7, 11, 13, 5), (0, 1, 0, 2), 7, 2)
-        specs = eligible_solvers(inst, ("splittable",))
-        violations = batch_oracle(inst, specs,
-                                  rng=np.random.default_rng(5))
-        assert violations
-        assert all(v.oracle == "batch" for v in violations)
-
     def test_metamorphic_oracle_clean(self):
         inst = Instance((5, 9, 2, 7, 4, 6), (0, 1, 2, 3, 0, 2), 2, 2)
         specs = eligible_solvers(inst, DEFAULT_SOLVERS)

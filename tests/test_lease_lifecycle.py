@@ -145,7 +145,7 @@ class TestLeaseStore:
 class TestRetryClassification:
     @pytest.mark.parametrize("exc", [
         BrokenProcessPool("pool died"),
-        FaultInjected("shm_attach"),
+        FaultInjected("chunk_raise"),
         OSError("disk"),
         ConnectionError("peer"),
         MemoryError(),

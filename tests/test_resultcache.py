@@ -165,14 +165,3 @@ class TestStoreShardPersistence:
                              if not p.name.endswith(("-wal", "-shm")))
         assert shard_files == ["jobs.db.cache-0", "jobs.db.cache-1",
                                "jobs.db.cache-2"]
-
-
-class TestEngineShimCompat:
-    def test_engine_cache_module_reexports(self):
-        # the old import path must keep serving the same objects
-        from repro.engine import cache as engine_cache
-        import repro.resultcache as resultcache
-        assert engine_cache.ReportCache is resultcache.ReportCache
-        assert engine_cache.cache_key is resultcache.cache_key
-        assert engine_cache.CACHE_HITS is resultcache.CACHE_HITS
-        assert engine_cache.is_cacheable is resultcache.is_cacheable

@@ -69,7 +69,7 @@ class TestMetricsEndpoint:
         assert headers["Content-Type"].startswith("text/plain")
         families, samples = parse_exposition(body.decode())
         # the acceptance bar: >= 12 families spanning HTTP, queue,
-        # cache, pool/shm and per-solver latency
+        # cache, pool and per-solver latency
         expected = {"repro_http_requests_total",
                     "repro_http_request_seconds",
                     "repro_queue_depth", "repro_jobs_active",
@@ -80,9 +80,7 @@ class TestMetricsEndpoint:
                     "repro_pool_width", "repro_pool_tasks_total",
                     "repro_pool_batches_active",
                     "repro_batch_cells_total", "repro_batch_chunk_cells",
-                    "repro_shm_segments_published_total",
-                    "repro_shm_segments_reused_total",
-                    "repro_shm_pinned_segments", "repro_solve_seconds"}
+                    "repro_solve_seconds"}
         assert expected <= set(families)
         assert len(expected) >= 12
         # the workload just run is visible in the samples
