@@ -16,8 +16,8 @@ Properties:
   reuses the bigger pool (idle workers cost almost nothing, respawning
   costs a lot), unless the caller passes ``shrink=True`` to release an
   explicitly unwanted width. Callers enforce their own ``workers`` cap
-  by bounding how many tasks they keep in flight — the pool's width is
-  a ceiling, not a promise.
+  by bounding how many tasks they submit — a batch ships at most
+  ``workers`` chunks — and the pool's width is a ceiling, not a promise.
 * **Swap-safe submission** — :func:`submit_task` resolves the live pool
   and submits *under the pool lock*, so a concurrent grow/replace can
   never invalidate a handle between resolution and submission.  A

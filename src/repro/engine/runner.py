@@ -11,7 +11,10 @@ instance/algorithm loops. It
   ``workers=0`` runs inline, which the benchmarks use to keep timings
   honest), in pickled chunks of cells grouped by instance, so each
   distinct instance crosses to a worker once per chunk instead of once
-  per cell; a worker solves each cell of its chunk with :func:`execute`,
+  per cell. A batch ships one chunk per worker it may use, packed by
+  instance size and all submitted at once, so no worker waits on a round
+  trip for its next chunk; a worker solves each cell of its chunk with
+  :func:`execute`,
 * enforces a per-run wall-clock timeout — ``SIGALRM`` where available
   (POSIX main threads, i.e. the pool workers), a watchdog-thread fallback
   everywhere else (Windows, service queue drainers),
@@ -312,9 +315,9 @@ def _execute_chunk(groups: list[tuple[Instance, list[tuple]]],
 def _usable_cores() -> int:
     """CPUs this process may actually run on (affinity-aware).
 
-    Chunking consults this because chunks beyond the hardware's real
-    parallelism cannot overlap — they only add IPC round trips. Tests
-    monkeypatch it to exercise both regimes deterministically.
+    A pooled batch ships no more chunks than this, because chunks beyond
+    the hardware's real parallelism cannot overlap — they only add IPC
+    round trips. Tests monkeypatch it to pin the chunk count.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
@@ -322,20 +325,27 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _packed_chunks(groups: list[list[int]], target: int) -> list[list[int]]:
-    """Merge per-group cell lists into exactly ``target`` chunks, largest
-    group first into the currently lightest chunk (deterministic LPT).
+def _packed_chunks(groups: list[list[int]], target: int,
+                   weight: Callable[[int], int]) -> list[list[int]]:
+    """Merge cell groups into ``target`` chunks (fewer only when there
+    are fewer groups), heaviest group first into the currently lightest
+    chunk (deterministic LPT: ties keep input order). A group weighs the
+    sum of ``weight(cell)`` over its cells.
 
-    Used only when the machine cannot run the fine-grained chunks in
-    parallel anyway (``_usable_cores() < workers``): on a core-starved
-    box every extra chunk is a pure IPC round trip, so the engine ships
-    as few chunks as the hardware can overlap."""
+    Every extra chunk is one more IPC round trip, and a worker idles
+    while its next chunk travels, so the engine ships one chunk per
+    worker it can overlap. The weight keeps those chunks even: a grid
+    runs the same algorithms on every instance, so a cell's cost follows
+    its instance's size, and ``iter_batch`` weighs each cell by its
+    instance's job count — packing by cell count would put two large
+    instances in one chunk as readily as a large and a small one."""
     bins: list[list[int]] = [[] for _ in range(target)]
-    sizes = [0] * target
-    for g in sorted(groups, key=len, reverse=True):
-        pos = sizes.index(min(sizes))
+    loads = [0] * target
+    for load, g in sorted(((sum(map(weight, g)), g) for g in groups),
+                          key=itemgetter(0), reverse=True):
+        pos = loads.index(min(loads))
         bins[pos].extend(g)
-        sizes[pos] += len(g)
+        loads[pos] += load
     return [b for b in bins if b]
 
 
@@ -345,10 +355,10 @@ def _balanced_chunks(groups: list[list[int]], target: int) -> list[list[int]]:
     a one-instance x many-algorithms batch parallel while still shipping
     each instance at most a handful of times.
 
-    Chunks stay fine-grained on purpose: the caller bounds concurrency
-    by *windowing submissions*, not by merging work up front, so a batch
-    mixing cheap and expensive cells keeps its workers busy instead of
-    idling behind one statically over-packed chunk."""
+    Groups are left whole once there are ``target`` of them: the caller
+    merges them into ``target`` chunks afterwards
+    (:func:`_packed_chunks`), so splitting further would only scatter an
+    instance over more chunks."""
     heap = [(-len(g), seq, g) for seq, g in enumerate(groups)]
     heapq.heapify(heap)
     seq = len(groups)
@@ -403,12 +413,15 @@ def iter_batch(instances: Iterable[Instance | tuple[str, Instance]],
     outermost). The cells are planned first: cache lookups, and
     in-batch dedupe of identical (instance content, algorithm, kwargs)
     triples. Inline (``workers`` of 0 or 1, or at most one cell left to
-    solve) every cell is yielded in grid order. Pooled, the cache hits
-    come first; then each solved cell, followed by its duplicates, as
-    its chunk finishes. Solved cells are put in ``cache`` as they
-    arrive. A dead pool worker is survived once per call: the pool is
-    rebuilt and every chunk still outstanding resubmitted; a second
-    death propagates ``BrokenProcessPool``.
+    solve) every cell is yielded in grid order. Pooled, the cells to
+    solve ship as one chunk per worker — as many chunks as the least of
+    ``workers``, the usable cores and the cells, weighted by instance
+    size (:func:`_packed_chunks`) — all submitted at once; the cache
+    hits are yielded first, then each solved cell, followed by its
+    duplicates, as its chunk finishes. Solved cells are put in ``cache``
+    as they arrive. A dead pool worker is survived once per call: the
+    pool is rebuilt and every chunk still outstanding resubmitted; a
+    second death propagates ``BrokenProcessPool``.
     """
     insts = _normalize_instances(instances)
     algos = _normalize_algorithms(algorithms)
@@ -480,25 +493,20 @@ def iter_batch(instances: Iterable[Instance | tuple[str, Instance]],
     batch_begin()
     try:
         # Chunking: cells group by instance, so each instance pickles
-        # once per chunk. Submissions are *windowed* to ``workers``
-        # in-flight chunks: the caller's fan-out stays a hard
-        # concurrency cap even when the shared pool is wider. The worker
-        # ask is capped by the post-dedupe chunk count, so a batch full
-        # of repeats cannot over-provision pool processes (under fork
-        # the pool pre-spawns its full width on first use).
+        # once per chunk, and the batch ships as exactly ``width``
+        # chunks, all submitted at once. No more than ``workers`` chunks
+        # exist, so the caller's fan-out is a hard concurrency cap even
+        # when the shared pool is wider; no more than the post-dedupe
+        # cells either, so a batch full of repeats cannot over-provision
+        # pool processes (under fork the pool pre-spawns its full width
+        # on first use).
         groups: dict[str, list[int]] = {}
         for i in pending:
             groups.setdefault(tasks[i][1].digest(), []).append(i)
-        parallel = min(workers, _usable_cores())
-        if parallel < workers and len(groups) > parallel:
-            # the hardware cannot overlap more than ``parallel`` chunks;
-            # merging down to that saves one full IPC round trip per
-            # merged-away chunk
-            chunks = _packed_chunks(list(groups.values()), parallel)
-        else:
-            chunks = _balanced_chunks(list(groups.values()),
-                                      min(workers, len(pending)))
-        width = min(workers, len(chunks))
+        width = min(workers, _usable_cores(), len(pending))
+        chunks = _packed_chunks(
+            _balanced_chunks(list(groups.values()), width), width,
+            lambda i: tasks[i][1].num_jobs)
         if explicit_workers and pool_max_workers() > workers \
                 and active_batches() == 1:
             # explicit downsize: a one-off wide batch must not pin pool
@@ -512,26 +520,18 @@ def iter_batch(instances: Iterable[Instance | tuple[str, Instance]],
         # cross the process boundary (same reason fast_paths rides
         # along), and the workers' own registries are invisible here
         tid = current_trace_id()
-        queue = iter(chunks)
-        live: dict = {}     # Future -> chunk, for resubmission
 
-        def submit_chunk(chunk: list[int]) -> None:
+        def submit(chunk: list[int]):
             _CHUNK_CELLS.observe(len(chunk))
             by_digest: dict[str, tuple[Instance, list[tuple]]] = {}
             for i in chunk:
                 label, inst, name, kwargs = tasks[i]
                 group = by_digest.setdefault(inst.digest(), (inst, []))
                 group[1].append((i, label, name, kwargs, timeout))
-            live[submit_task(width, _execute_chunk,
-                             list(by_digest.values()), fast, tid)] = chunk
+            return submit_task(width, _execute_chunk,
+                               list(by_digest.values()), fast, tid)
 
-        def submit_next() -> None:
-            chunk = next(queue, None)
-            if chunk is not None:
-                submit_chunk(chunk)
-
-        for _ in range(width):
-            submit_next()
+        live = {submit(chunk): chunk for chunk in chunks}
         rebuilt = False
         while live:
             done, _ = wait(set(live), return_when=FIRST_COMPLETED)
@@ -550,12 +550,9 @@ def iter_batch(instances: Iterable[Instance | tuple[str, Instance]],
                         raise
                     rebuilt = True
                     outstanding = [chunk, *live.values()]
-                    live.clear()
                     rebuild_pool(width)
-                    for again in outstanding:
-                        submit_chunk(again)
+                    live = {submit(again): again for again in outstanding}
                     break
-                submit_next()
                 for i, rep in results:
                     # worker-side observations died with the worker's
                     # registry; re-observe from the returned report

@@ -324,11 +324,13 @@ class TestSessionLocal:
         assert [r.makespan for r in got] == [r.makespan for r in Session(
             ).solve_batch(grid, algorithms=["greedy", "lpt"])]
 
-    def test_pool_stream_submits_the_batch_chunks(self):
+    def test_pool_stream_submits_the_batch_chunks(self, monkeypatch):
         # stream and solve_batch share one engine path: one 8x3 grid is
-        # the same number of pool tasks either way, not one per cell
+        # one pool task per worker either way, not one per cell
         import numpy as np
+        import repro.engine.runner as runner
         from repro.obs.metrics import REGISTRY
+        monkeypatch.setattr(runner, "_usable_cores", lambda: 8)
         from repro.workloads import uniform_instance
         grid = [(f"g{k}", uniform_instance(np.random.default_rng(k), n=20,
                                            C=4, m=3, c=2))
@@ -342,7 +344,7 @@ class TestSessionLocal:
         before = tasks.value()
         streamed = list(session.stream(grid, algorithms=algos))
         stream_tasks = tasks.value() - before
-        assert stream_tasks == batch_tasks < len(grid) * len(algos)
+        assert stream_tasks == batch_tasks == 2
         assert sorted((r.instance_label, r.algorithm, r.makespan)
                       for r in streamed) == \
             sorted((r.instance_label, r.algorithm, r.makespan)

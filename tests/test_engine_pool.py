@@ -184,20 +184,65 @@ def test_core_starved_box_merges_chunks(monkeypatch):
 
 def test_packed_chunks_merges_deterministically():
     from repro.engine.runner import _packed_chunks
-    chunks = _packed_chunks([[0], [1, 2, 3], [4, 5], [6]], 2)
+    groups = [[0], [1, 2, 3], [4, 5], [6]]
+    chunks = _packed_chunks(groups, 2, lambda i: 1)
     assert sorted(i for c in chunks for i in c) == list(range(7))
-    assert len(chunks) == 2
-    # largest group first into the lightest bin: deterministic layout
-    assert _packed_chunks([[0], [1, 2, 3], [4, 5], [6]], 2) == chunks
+    # heaviest group first into the lightest bin, ties to the first
+    # bin: deterministic layout
+    assert chunks == [[1, 2, 3, 6], [4, 5, 0]]
+    assert _packed_chunks(groups, 2, lambda i: 1) == chunks
+    # weights, not cell counts, order and balance the groups
+    heavy = {0: 10}
+    assert _packed_chunks(groups, 2, lambda i: heavy.get(i, 1)) == \
+        [[0], [1, 2, 3, 4, 5, 6]]
 
 
 def test_balanced_chunks_stay_fine_grained_above_target():
-    # more groups than workers: never merged up front — run_batch bounds
-    # concurrency by windowing submissions, so heterogeneous cells keep
-    # the workers dynamically balanced
+    # more groups than the target: left whole, because iter_batch packs
+    # them into the target count afterwards (_packed_chunks, by weight);
+    # splitting them further would only scatter instances over chunks
     chunks = _balanced_chunks([[0], [1], [2], [3], [4], [5]], 2)
     assert len(chunks) == 6
     assert sorted(i for c in chunks for i in c) == list(range(6))
+
+
+def test_pooled_batch_ships_one_chunk_per_worker(monkeypatch):
+    # a 6-instance x 3-algorithm grid at workers=2 is two pool tasks,
+    # not one per instance
+    import repro.engine.runner as runner
+    from repro.obs.metrics import REGISTRY
+    monkeypatch.setattr(runner, "_usable_cores", lambda: 8)
+    tasks = REGISTRY.get("repro_pool_tasks_total")
+    before = tasks.value()
+    reports = run_batch(_instances(6), ["splittable", "preemptive",
+                                        "nonpreemptive"], workers=2)
+    assert tasks.value() - before == 2
+    assert len(reports) == 18 and all(r.ok for r in reports)
+
+
+def test_pooled_chunks_balance_instance_sizes(monkeypatch):
+    # two large instances among four small ones: weighted by job count,
+    # each chunk gets one large instance; packed by cell count, both
+    # would share a chunk
+    import repro.engine.runner as runner
+    monkeypatch.setattr(runner, "_usable_cores", lambda: 8)
+    shipped = []
+    submit_task = runner.submit_task
+
+    def record(width, fn, groups, *args):
+        shipped.append(sorted(inst.num_jobs for inst, _ in groups))
+        return submit_task(width, fn, groups, *args)
+
+    monkeypatch.setattr(runner, "submit_task", record)
+    rng = np.random.default_rng(25)
+    grid = [(f"i{k}", uniform_instance(rng, n=n, C=20, m=10, c=3,
+                                       p_hi=1000))
+            for k, n in enumerate((2000, 200, 2000, 200, 200, 200))]
+    algos = ["splittable", "preemptive", "nonpreemptive"]
+    pooled = run_batch(grid, algos, workers=2)
+    assert sorted(shipped) == [[200, 200, 2000], [200, 200, 2000]]
+    inline = run_batch(grid, algos, workers=0)
+    assert _without_wall_time(pooled) == _without_wall_time(inline)
 
 
 def test_run_batch_explicit_downsize_shrinks_wide_pool(monkeypatch):
