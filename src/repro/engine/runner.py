@@ -42,7 +42,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from fractions import Fraction
@@ -521,7 +521,7 @@ def iter_batch(instances: Iterable[Instance | tuple[str, Instance]],
         # along), and the workers' own registries are invisible here
         tid = current_trace_id()
 
-        def submit(chunk: list[int]):
+        def submit(chunk: list[int]) -> Future:
             _CHUNK_CELLS.observe(len(chunk))
             by_digest: dict[str, tuple[Instance, list[tuple]]] = {}
             for i in chunk:

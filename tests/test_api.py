@@ -330,8 +330,8 @@ class TestSessionLocal:
         import numpy as np
         import repro.engine.runner as runner
         from repro.obs.metrics import REGISTRY
-        monkeypatch.setattr(runner, "_usable_cores", lambda: 8)
         from repro.workloads import uniform_instance
+        monkeypatch.setattr(runner, "_usable_cores", lambda: 8)
         grid = [(f"g{k}", uniform_instance(np.random.default_rng(k), n=20,
                                            C=4, m=3, c=2))
                 for k in range(8)]
