@@ -330,7 +330,8 @@ def _packed_chunks(groups: list[list[int]], target: int,
     """Merge cell groups into ``target`` chunks (fewer only when there
     are fewer groups), heaviest group first into the currently lightest
     chunk (deterministic LPT: ties keep input order). A group weighs the
-    sum of ``weight(cell)`` over its cells.
+    sum of ``weight(cell)`` over its cells; weights must be positive, or
+    an empty chunk could look as light as a filled one.
 
     Every extra chunk is one more IPC round trip, and a worker idles
     while its next chunk travels, so the engine ships one chunk per
