@@ -50,6 +50,7 @@ from operator import itemgetter
 from typing import (Any, Callable, Iterable, Iterator, Mapping,
                     Sequence)
 
+from ..core.deadline import DeadlineExceeded, deadline
 from ..core.errors import (CapacityExceededError, InfeasibleInstanceError,
                            InfeasibleScheduleError, InvalidInstanceError,
                            UnsupportedInstanceError)
@@ -99,10 +100,6 @@ def _maybe_trace(trace_id: str | None):
         yield
 
 
-class _TimeoutExceeded(Exception):
-    pass
-
-
 def _alarm_usable() -> bool:
     return hasattr(signal, "SIGALRM") and \
         threading.current_thread() is threading.main_thread()
@@ -110,7 +107,7 @@ def _alarm_usable() -> bool:
 
 @contextmanager
 def _alarm(seconds: float | None):
-    """Raise :class:`_TimeoutExceeded` after ``seconds`` of wall time.
+    """Raise :class:`DeadlineExceeded` after ``seconds`` of wall time.
 
     Uses ``SIGALRM``, so it only arms on POSIX main threads — which covers
     the pool workers: they run solver code on their main thread.
@@ -120,7 +117,7 @@ def _alarm(seconds: float | None):
         return
 
     def _handle(signum, frame):
-        raise _TimeoutExceeded()
+        raise DeadlineExceeded()
 
     old = signal.signal(signal.SIGALRM, _handle)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -132,7 +129,7 @@ def _alarm(seconds: float | None):
 
 
 def _call_with_timeout(fn: Callable[[], Any], seconds: float | None) -> Any:
-    """Run ``fn()``, raising :class:`_TimeoutExceeded` after ``seconds``.
+    """Run ``fn()``, raising :class:`DeadlineExceeded` after ``seconds``.
 
     On a POSIX main thread this is the cheap ``SIGALRM`` path. Anywhere
     signals cannot arm — Windows, and crucially the service's queue
@@ -142,20 +139,29 @@ def _call_with_timeout(fn: Callable[[], Any], seconds: float | None) -> Any:
     asked to die via ``PyThreadState_SetAsyncExc`` (best effort — pure
     Python solver loops honour it at the next bytecode boundary, a solve
     stuck inside a C extension finishes its call first and the exception
-    lands on return).
+    lands on return). Either way ``fn`` runs under
+    :func:`~repro.core.deadline.deadline`, so a HiGHS call inside it stops
+    at the budget too.
     """
     if not seconds:
         return fn()
+
+    def timed() -> Any:
+        # set on the thread that runs fn: a fresh thread does not
+        # inherit context variables
+        with deadline(seconds):
+            return fn()
+
     if _alarm_usable():
         with _alarm(seconds):
-            return fn()
+            return timed()
 
     outcome: dict[str, Any] = {}
     done = threading.Event()
 
     def _target() -> None:
         try:
-            outcome["value"] = fn()
+            outcome["value"] = timed()
         except BaseException as exc:    # noqa: BLE001 — re-raised below
             outcome["error"] = exc
         finally:
@@ -168,8 +174,8 @@ def _call_with_timeout(fn: Callable[[], Any], seconds: float | None) -> Any:
         if worker.ident is not None:
             ctypes.pythonapi.PyThreadState_SetAsyncExc(
                 ctypes.c_ulong(worker.ident),
-                ctypes.py_object(_TimeoutExceeded))
-        raise _TimeoutExceeded()
+                ctypes.py_object(DeadlineExceeded))
+        raise DeadlineExceeded()
     if "error" in outcome:
         raise outcome["error"]
     return outcome["value"]
@@ -208,7 +214,7 @@ def _failure_report(exc: BaseException, base: dict, elapsed: float,
     """Map a solve/validate exception to its report — the single failure
     taxonomy of :func:`execute`. Non-solver ``BaseException``s
     (``KeyboardInterrupt``...) propagate."""
-    if isinstance(exc, _TimeoutExceeded):
+    if isinstance(exc, DeadlineExceeded):
         status, error = "timeout", f"exceeded {timeout:g}s"
     elif isinstance(exc, (UnsupportedInstanceError, CapacityExceededError)):
         # the instance is fine; this solver just cannot take it — batch

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import lil_matrix
 
+from ..core.deadline import timed_milp
 from ..core.errors import SolverError, UnsupportedInstanceError
 from ..core.instance import Instance
 
@@ -59,8 +60,8 @@ def _check_size(inst: Instance, clamp_machines: bool = True) -> Instance:
 
 
 def _solve(c_vec, constraints, integrality, bounds) -> np.ndarray:
-    res = milp(c=c_vec, constraints=constraints, integrality=integrality,
-               bounds=bounds)
+    res = timed_milp(milp, c=c_vec, constraints=constraints,
+                     integrality=integrality, bounds=bounds)
     if res.status != 0 or res.x is None:
         raise SolverError(f"MILP failed: status={res.status} "
                           f"message={res.message!r}")

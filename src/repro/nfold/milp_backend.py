@@ -19,6 +19,7 @@ import importlib.util
 
 import numpy as np
 
+from ..core.deadline import timed_milp
 from ..core.errors import SolverError, UnsupportedInstanceError
 from .structure import NFold
 
@@ -79,9 +80,10 @@ def solve_milp(nf: NFold) -> np.ndarray | None:
         return x.astype(np.int64)
     constraints = LinearConstraint(csr_matrix(A), b.astype(float),
                                    b.astype(float))
-    res = milp(c=nf.w.astype(float), constraints=constraints,
-               integrality=np.ones(nvar),
-               bounds=Bounds(nf.lower.astype(float), nf.upper.astype(float)))
+    res = timed_milp(milp, c=nf.w.astype(float), constraints=constraints,
+                     integrality=np.ones(nvar),
+                     bounds=Bounds(nf.lower.astype(float),
+                                   nf.upper.astype(float)))
     if res.status == 2:  # infeasible
         return None
     if res.status != 0 or res.x is None:

@@ -6,6 +6,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
+from ..core.deadline import timed_milp
 from ..core.errors import SolverError
 
 __all__ = ["FeasibilityMILP"]
@@ -72,12 +73,12 @@ class FeasibilityMILP:
         if objective:
             for k, v in objective.items():
                 c_vec[k] = v
-        res = milp(c=c_vec,
-                   constraints=LinearConstraint(self.matrix(),
-                                                np.array(self.lo),
-                                                np.array(self.hi)),
-                   integrality=np.ones(self.n),
-                   bounds=Bounds(self.var_lo, self.var_hi))
+        res = timed_milp(milp, c=c_vec,
+                         constraints=LinearConstraint(self.matrix(),
+                                                      np.array(self.lo),
+                                                      np.array(self.hi)),
+                         integrality=np.ones(self.n),
+                         bounds=Bounds(self.var_lo, self.var_hi))
         if res.status == 2:
             return None
         if res.status != 0 or res.x is None:

@@ -1,6 +1,8 @@
 """Tests for the execution engine: SolveReport, run_batch, caching."""
 
 import json
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -162,3 +164,49 @@ class TestCache:
                            cache=cache)
         assert rep.status == "timeout"
         assert len(cache) == 0
+
+
+class TestHighsDeadline:
+    """A cell's timeout bounds HiGHS too: ``ptas-preemptive`` at ε = 1 on
+    this near-infeasible fuzz case (n=7, C=6, m=3, c=2) spends about a
+    minute inside one MILP call, where neither ``SIGALRM`` nor the
+    watchdog thread can stop it."""
+
+    TIMEOUT = 2.0
+
+    @staticmethod
+    def _case() -> Instance:
+        from repro.fuzz.generators import draw_case
+        return draw_case(np.random.default_rng([424242, 2]),
+                         only=("near-infeasible",)).instance
+
+    def _solve(self) -> SolveReport:
+        return execute(self._case(), "ptas-preemptive", {"epsilon": 1},
+                       timeout=self.TIMEOUT)
+
+    def test_inline_report_arrives_on_time(self):
+        t0 = time.monotonic()
+        rep = self._solve()
+        assert rep.status == "timeout"
+        assert rep.error == f"exceeded {self.TIMEOUT:g}s"
+        assert time.monotonic() - t0 < self.TIMEOUT + 2.0
+
+    def test_solve_thread_stops_on_time(self):
+        # off the main thread the solve runs on a "repro-solve-timeout"
+        # thread; the report is on time either way, the thread must be
+        # gone by then too instead of running HiGHS on
+        def solve_threads() -> set[threading.Thread]:
+            return {t for t in threading.enumerate()
+                    if t.name == "repro-solve-timeout"}
+
+        before = solve_threads()
+        out: list[SolveReport] = []
+        caller = threading.Thread(target=lambda: out.append(self._solve()))
+        t0 = time.monotonic()
+        caller.start()
+        caller.join(self.TIMEOUT + 2.0)
+        assert out and out[0].status == "timeout"
+        ours = solve_threads() - before
+        for t in ours:
+            t.join(max(0.0, t0 + self.TIMEOUT + 2.0 - time.monotonic()))
+        assert not any(t.is_alive() for t in ours)
