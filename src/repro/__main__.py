@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -280,6 +281,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type of ``--lease-seconds``: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}")
+    return value
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import serve
     try:
@@ -287,14 +300,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               drainers=args.drainers,
               engine_workers=args.engine_workers,
               default_timeout=args.timeout,
-              lease_seconds=args.lease_seconds or None,
+              lease_seconds=args.lease_seconds,
               max_attempts=args.max_attempts,
               drain_grace=args.drain_grace,
               embedded_workers=not args.no_embedded_workers,
-              cache_shards=args.cache_shards,
               quiet=args.quiet,
               log_level=args.log_level)
-    except ValueError as exc:        # bad --store URL, bad shard count
+    except ValueError as exc:        # bad --store URL
         raise SystemExit(f"error: {exc}")
     return 0
 
@@ -305,7 +317,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         run_worker(args.store, workers=args.workers,
                    engine_workers=args.engine_workers,
                    name=args.name,
-                   lease_seconds=args.lease_seconds or None,
+                   lease_seconds=args.lease_seconds,
                    default_timeout=args.timeout,
                    poll_interval=args.poll_interval,
                    drain_grace=args.drain_grace,
@@ -676,17 +688,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accept + supervise only; execution is left to "
                          "external `repro worker` processes sharing the "
                          "store")
-    pe.add_argument("--cache-shards", type=int, default=None,
-                    help="result-cache shard count for a fresh store "
-                         "(default 4; existing stores keep theirs)")
     pe.add_argument("--engine-workers", type=int, default=0,
                     help="process fan-out per job (0 solves inline on "
                          "the drainer thread)")
     pe.add_argument("--timeout", type=float, default=None,
                     help="default per-run timeout for jobs without one")
-    pe.add_argument("--lease-seconds", type=float, default=30.0,
-                    help="job lease length drainers hold and heartbeat "
-                         "(0 disables leases/retries/supervision)")
+    pe.add_argument("--lease-seconds", type=_positive_seconds, default=30.0,
+                    help="job lease length drainers hold and heartbeat")
     pe.add_argument("--max-attempts", type=int, default=None,
                     help="attempts per job before quarantine "
                          "(default: store default, 3)")
@@ -720,9 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "node-<pid>-<k>)")
     pw.add_argument("--timeout", type=float, default=None,
                     help="default per-run timeout for jobs without one")
-    pw.add_argument("--lease-seconds", type=float, default=30.0,
-                    help="job lease length drainers hold and heartbeat "
-                         "(0 disables leases/retries/supervision)")
+    pw.add_argument("--lease-seconds", type=_positive_seconds, default=30.0,
+                    help="job lease length drainers hold and heartbeat")
     pw.add_argument("--poll-interval", type=float, default=0.25,
                     help="idle sleep between store polls")
     pw.add_argument("--drain-grace", type=float, default=10.0,
@@ -771,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="drainer threads of the private service")
     ph.add_argument("--engine-workers", type=int, default=2,
                     help="process fan-out of the private service")
-    ph.add_argument("--lease-seconds", type=float, default=2.0,
+    ph.add_argument("--lease-seconds", type=_positive_seconds, default=2.0,
                     help="lease length of the private service (short, "
                          "so reclaims happen within the campaign)")
     ph.add_argument("--max-attempts", type=int, default=5,

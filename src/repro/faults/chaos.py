@@ -201,7 +201,7 @@ def run_chaos(seed: int = 7, jobs: int = 50,
 
     from ..engine.pool import shutdown_pool
     from ..service.server import SchedulingService
-    from ..service.queue import JOB_RETRIES, LEASE_RECLAIMS
+    from ..service.worker import JOB_RETRIES, LEASE_RECLAIMS
     from ..engine.pool import _POOL_REBUILDS
 
     if external_workers and store_url is not None \
@@ -283,7 +283,7 @@ def run_chaos(seed: int = 7, jobs: int = 50,
         injection.reset()
         shutdown_pool(wait=False, cancel_futures=True)
         if tmp is not None:
-            # the store file plus its WAL/shm sidecars and cache shards
+            # the store file plus its WAL/shm sidecars and cache file
             for path in glob.glob(tmp + "*"):
                 try:
                     os.unlink(path)

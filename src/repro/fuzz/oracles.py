@@ -521,8 +521,8 @@ def faults_oracle(inst: Instance, specs: Sequence[SolverSpec],
     """Replaying the instance through a faulting job queue must yield
     reports byte-identical to a clean inline run.
 
-    Spins up an in-memory :class:`~repro.service.store.JobStore` +
-    :class:`~repro.service.queue.JobQueue` with a short lease and an
+    Spins up an in-memory :class:`~repro.service.store.JobStore` + one
+    :class:`~repro.service.worker.WorkerNode` with a short lease and an
     rng-seeded ``store_commit`` + ``drainer_loop`` fault plan, submits
     the case, and lets supervision (reclaim, backoff, drainer respawn)
     carry the job to a terminal state. A job that ends ``done`` must
@@ -532,8 +532,8 @@ def faults_oracle(inst: Instance, specs: Sequence[SolverSpec],
     the deadline is the violation this oracle exists to catch.
     """
     from ..faults import injection
-    from ..service.queue import JobQueue
     from ..service.store import TERMINAL_STATUSES, JobStore
+    from ..service.worker import WorkerNode
 
     rng = rng if rng is not None else np.random.default_rng(0)
     names = [spec.name for spec in specs
@@ -555,13 +555,14 @@ def faults_oracle(inst: Instance, specs: Sequence[SolverSpec],
     prev = injection.configure("store_commit:0.4,drainer_loop:0.25",
                                seed=seed)
     store = JobStore(":memory:")
-    queue = JobQueue(store, drainers=1, lease_seconds=0.2,
-                     reclaim_interval=0.02, retry_backoff_base=0.01,
-                     retry_backoff_cap=0.05, max_attempts=8)
+    node = WorkerNode(store, workers=1, lease_seconds=0.2,
+                      reclaim_interval=0.02, retry_backoff_base=0.01,
+                      retry_backoff_cap=0.05)
     out: list[Violation] = []
     try:
-        queue.start()
-        job = queue.submit(inst, [(n, {}) for n in names], label="faults")
+        job = store.create_job(inst, [(n, {}) for n in names],
+                               label="faults", max_attempts=8)
+        node.start()
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             rec = store.get_job(job.id)
@@ -592,7 +593,7 @@ def faults_oracle(inst: Instance, specs: Sequence[SolverSpec],
                                   for k, (a, b) in diff.items()}}))
         # quarantined/failed: legitimate under a 40% commit-fault plan
     finally:
-        queue.stop(wait=True, grace=5.0)
+        node.stop(wait=True, grace=5.0)
         injection.configure(prev)
         store.close()
     return out

@@ -10,55 +10,45 @@ between them. They are unified here:
   cached and under which identity, for every cache in the package.
 * **:class:`ReportCache`** — the bounded LRU (plus optional spill
   directory) the engine hands to ``run_batch(cache=...)``.
-* **:class:`ShardedReportCache`** — the service's persistent cache,
-  now split over N shards (one SQLite file or in-memory segment each)
-  chosen by consistent hashing over the report key, so cache writes
-  stop contending on the job table's lock and on each other.
+* **:class:`ServiceCache`** — the service's persistent cache, one
+  SQLite database beside the job store.
 
-Every cache speaks the same protocol ``run_batch`` expects — ``get`` /
-``put`` / ``__len__`` / ``hits`` / ``misses`` / ``hit_rate`` — and every
-hit/miss lands in the same labelled process-wide counters, so
-``/v1/healthz`` and ``/v1/metrics`` read one set of numbers no matter
-which layer answered.
+Every cache speaks the protocol ``run_batch`` expects — ``get`` /
+``put`` / ``__len__`` — and every hit/miss lands in the same labelled
+process-wide counters, so ``/v1/healthz`` and ``/v1/metrics`` read one
+set of numbers no matter which layer answered.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import os
 import sqlite3
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .core.instance import Instance
 from .engine.report import SolveReport
 from .obs.metrics import REGISTRY
 from .obs.trace import current_trace_id
 
-__all__ = ["ReportCache", "ShardedReportCache", "HashRing",
-           "MemoryCacheShard", "SqliteCacheShard",
+__all__ = ["ReportCache", "ServiceCache",
            "cache_key", "is_cacheable", "relabel_hit",
            "CACHEABLE_STATUSES", "CACHE_KEY_VERSION",
-           "DEFAULT_MAX_ENTRIES", "DEFAULT_CACHE_SHARDS",
-           "CACHE_HITS", "CACHE_MISSES", "CACHE_SHARD_OPS"]
+           "DEFAULT_MAX_ENTRIES", "CACHE_HITS", "CACHE_MISSES"]
 
 #: Default in-memory bound: large enough for any one experiment sweep,
 #: small enough that a service holding ~1-2 KiB reports stays in the MBs.
 DEFAULT_MAX_ENTRIES = 4096
 
-#: Default shard fan-out of the service's persistent result cache.
-DEFAULT_CACHE_SHARDS = 4
-
 
 #: Bump whenever the *meaning* of a cached report changes for an
 #: unchanged (instance, algorithm, kwargs) triple, so persistent caches
-#: (the service's SQLite shards, on-disk ReportCache dirs) never serve
+#: (the service's SQLite cache, on-disk ReportCache dirs) never serve
 #: stale semantics across an upgrade. v2: the status taxonomy split
 #: ``unsupported`` out of ``infeasible`` (mcnaughton / capacity caps).
 CACHE_KEY_VERSION = "report-v2"
@@ -76,21 +66,13 @@ def cache_key(inst: Instance, algorithm: str,
 
 
 #: Cache hit/miss counters, labelled by which cache answered: the
-#: engine's in-memory/disk ReportCache or the service's sharded store.
+#: engine's in-memory/disk ReportCache or the service's ServiceCache.
 CACHE_HITS = REGISTRY.counter(
     "repro_cache_hits_total", "Report-cache lookups served from cache.",
     labelnames=("cache",))
 CACHE_MISSES = REGISTRY.counter(
     "repro_cache_misses_total", "Report-cache lookups that missed.",
     labelnames=("cache",))
-
-#: Per-shard traffic of a ShardedReportCache, by operation (hit / miss /
-#: put) — the readout that shows whether consistent hashing is actually
-#: spreading load.
-CACHE_SHARD_OPS = REGISTRY.counter(
-    "repro_cache_shard_ops_total",
-    "Sharded report-cache operations, by cache label, shard and op.",
-    labelnames=("cache", "shard", "op"))
 
 #: Outcomes worth remembering; timeouts and crashes are retried instead.
 CACHEABLE_STATUSES = ("ok", "infeasible", "unsupported")
@@ -114,6 +96,13 @@ def relabel_hit(report: SolveReport, label: str) -> SolveReport:
         extra = {**extra, "trace_id": tid}
     return replace(report, cached=True, instance_label=label,
                    wall_time_s=0.0, extra=extra)
+
+
+def _decode(text: str) -> SolveReport | None:
+    try:
+        return SolveReport.from_dict(json.loads(text))
+    except (ValueError, TypeError, json.JSONDecodeError):
+        return None     # corrupt entry: treat as a miss
 
 
 class ReportCache:
@@ -167,10 +156,7 @@ class ReportCache:
         if self._dir is not None:
             path = self._path(key)
             if path.exists():
-                try:
-                    rep = SolveReport.from_dict(json.loads(path.read_text()))
-                except (ValueError, TypeError, json.JSONDecodeError):
-                    rep = None      # corrupt entry: treat as a miss
+                rep = _decode(path.read_text())
         with self._lock:
             if rep is None:
                 self.misses += 1
@@ -204,153 +190,72 @@ class ReportCache:
             os.replace(tmp, path)
 
 
-# --------------------------------------------------------------------- #
-# sharding
-# --------------------------------------------------------------------- #
-
-
-class HashRing:
-    """Consistent hashing over ``shard_count`` shards.
-
-    Each shard owns ``replicas`` points on a 64-bit ring (sha256 of a
-    stable ``shard-{i}:{r}`` label); a key lands on the first point at or
-    after its own hash. Virtual nodes keep the key distribution even,
-    and growing/shrinking the shard count moves only the keys whose arc
-    changed owner — persistent shard files keep most of their entries
-    across a resize instead of going cold all at once.
-    """
-
-    def __init__(self, shard_count: int, replicas: int = 64) -> None:
-        if shard_count < 1:
-            raise ValueError(
-                f"shard_count must be >= 1, got {shard_count}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.shard_count = shard_count
-        points: list[tuple[int, int]] = []
-        for shard in range(shard_count):
-            for r in range(replicas):
-                points.append((self._hash(f"shard-{shard}:{r}"), shard))
-        points.sort()
-        self._points = points
-        self._hashes = [h for h, _ in points]
-
-    @staticmethod
-    def _hash(value: str) -> int:
-        digest = hashlib.sha256(value.encode()).digest()
-        return int.from_bytes(digest[:8], "big")
-
-    def shard_for(self, key: str) -> int:
-        """The shard index owning ``key`` (deterministic)."""
-        i = bisect.bisect_right(self._hashes, self._hash(key))
-        return self._points[i % len(self._points)][1]
-
-
-class MemoryCacheShard:
-    """One in-memory segment of a :class:`ShardedReportCache`."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._rows: dict[str, tuple[str, SolveReport, float]] = {}
-        self._stamp = 0.0
-
-    def get(self, key: str) -> SolveReport | None:
-        with self._lock:
-            row = self._rows.get(key)
-        return row[1] if row is not None else None
-
-    def put(self, key: str, digest: str, report: SolveReport) -> None:
-        with self._lock:
-            # wall-clock stamps (monotonically bumped within a tick) keep
-            # insertion order comparable ACROSS shards, so the merged
-            # digest view lists reports in true arrival order
-            self._stamp = max(self._stamp + 1e-6, time.time())
-            self._rows[key] = (digest, report, self._stamp)
-
-    def reports_for_digest(self, digest: str) -> list[tuple[float,
-                                                            SolveReport]]:
-        with self._lock:
-            return [(stamp, rep) for d, rep, stamp in self._rows.values()
-                    if d == digest]
-
-    def size(self) -> int:
-        with self._lock:
-            return len(self._rows)
-
-    def close(self) -> None:
-        pass
-
-
-_SHARD_SCHEMA = """
+_SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
     key             TEXT PRIMARY KEY,
     instance_digest TEXT NOT NULL,
-    report          TEXT NOT NULL,
-    stored_at       REAL NOT NULL
+    report          TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_results_digest ON results(instance_digest);
 """
 
 
-class SqliteCacheShard:
-    """One SQLite file holding a slice of the sharded result cache.
+class ServiceCache:
+    """The service's digest-indexed, persistent report cache: one SQLite
+    database, ``<db>.cache`` beside a file-backed job store, or
+    ``:memory:``.
 
-    The schema is the pre-shard ``results`` table verbatim, so migrating
-    a monolithic store is a straight row copy. Each shard serialises its
-    own writers behind a private lock — the point of sharding is that
-    those locks are *independent*: writers on different shards (and on
-    the job table) never contend.
+    Speaks both dialects of the cache seam:
+
+    * the engine protocol ``run_batch(cache=...)`` expects —
+      :meth:`get` / :meth:`put` / ``len()`` — whose lookups count in the
+      process-wide ``repro_cache_*`` counters under ``cache="service"``;
+    * the raw store seam — :meth:`peek` / :meth:`store` /
+      :meth:`reports_for_digest` / :meth:`size` — behind
+      ``cache_get`` / ``cache_put`` and the ``/v1/results`` endpoint,
+      which must not inflate the hit/miss statistics.
+
+    One connection serves every thread behind a lock; a file-backed
+    cache runs in WAL mode, so the processes of a fleet can share it.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = str(path)
         self._lock = threading.Lock()
-        self._counter = 0.0
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._conn.row_factory = sqlite3.Row
-        with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
+        if self.path != ":memory:":
             self._conn.execute("PRAGMA busy_timeout=5000")
-            self._conn.executescript(_SHARD_SCHEMA)
-            self._conn.commit()
+            self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.executescript(_SCHEMA)
 
-    def get(self, key: str) -> SolveReport | None:
+    # -- raw store seam (never counts hits/misses) --------------------- #
+
+    def peek(self, key: str) -> SolveReport | None:
         with self._lock:
             row = self._conn.execute(
                 "SELECT report FROM results WHERE key=?", (key,)).fetchone()
-        if row is None:
-            return None
-        try:
-            return SolveReport.from_dict(json.loads(row["report"]))
-        except (ValueError, TypeError, json.JSONDecodeError):
-            return None     # corrupt entry: treat as a miss
+        return _decode(row[0]) if row is not None else None
 
-    def put(self, key: str, digest: str, report: SolveReport) -> None:
+    def store(self, key: str, digest: str, report: SolveReport) -> None:
+        # REPLACE deletes the old row, so an overwritten key moves to the
+        # end of the rowid order the digest view reads
         with self._lock:
-            # a monotonically-bumped stamp keeps insertion order stable
-            # even when several puts land within one clock tick
-            self._counter = max(self._counter + 1e-6, time.time())
             self._conn.execute(
                 "INSERT OR REPLACE INTO results "
-                "(key, instance_digest, report, stored_at) VALUES (?,?,?,?)",
-                (key, digest, json.dumps(report.to_dict()), self._counter))
+                "(key, instance_digest, report) VALUES (?, ?, ?)",
+                (key, digest, json.dumps(report.to_dict())))
             self._conn.commit()
 
-    def reports_for_digest(self, digest: str) -> list[tuple[float,
-                                                            SolveReport]]:
+    def reports_for_digest(self, digest: str) -> list[SolveReport]:
+        """Every cached report for one instance content hash, in
+        insertion order (corrupt rows skipped)."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT stored_at, report FROM results "
-                "WHERE instance_digest=?", (digest,)).fetchall()
-        out = []
-        for row in rows:
-            try:
-                out.append((row["stored_at"],
-                            SolveReport.from_dict(json.loads(row["report"]))))
-            except (ValueError, TypeError, json.JSONDecodeError):
-                continue
-        return out
+                "SELECT report FROM results WHERE instance_digest=? "
+                "ORDER BY rowid", (digest,)).fetchall()
+        reports = (_decode(text) for (text,) in rows)
+        return [rep for rep in reports if rep is not None]
 
     def size(self) -> int:
         with self._lock:
@@ -362,98 +267,19 @@ class SqliteCacheShard:
         with self._lock:
             self._conn.close()
 
-
-class ShardedReportCache:
-    """Digest-indexed persistent report cache split over N shards.
-
-    Speaks both dialects of the cache seam:
-
-    * the counting engine protocol ``run_batch(cache=...)`` expects —
-      :meth:`get` / :meth:`put` / ``len()`` / ``hits`` / ``misses`` /
-      ``hit_rate`` (mirrored into the process-wide ``repro_cache_*``
-      counters under this cache's ``label``);
-    * the raw store seam — :meth:`peek` / :meth:`store` /
-      :meth:`reports_for_digest` / :meth:`size` — used by
-      ``JobStore.cache_get`` / ``cache_put`` and the ``/v1/results``
-      endpoint, which must not inflate the hit/miss statistics.
-
-    ``shards`` is a list of :class:`MemoryCacheShard` /
-    :class:`SqliteCacheShard` (anything with the same five methods);
-    keys are routed by a :class:`HashRing` over ``len(shards)``.
-    """
-
-    def __init__(self, shards: Iterable[MemoryCacheShard | SqliteCacheShard],
-                 *, label: str = "service") -> None:
-        self.shards = list(shards)
-        if not self.shards:
-            raise ValueError("a sharded cache needs at least one shard")
-        self.label = label
-        self._ring = HashRing(len(self.shards))
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    # -- routing ------------------------------------------------------- #
-
-    def shard_for(self, key: str) -> int:
-        return self._ring.shard_for(key)
-
-    def _shard(self, key: str):
-        return self.shards[self._ring.shard_for(key)]
-
-    # -- raw store seam (never counts hits/misses) --------------------- #
-
-    def peek(self, key: str) -> SolveReport | None:
-        return self._shard(key).get(key)
-
-    def store(self, key: str, digest: str, report: SolveReport) -> None:
-        shard = self._ring.shard_for(key)
-        self.shards[shard].put(key, digest, report)
-        CACHE_SHARD_OPS.inc(cache=self.label, shard=str(shard), op="put")
-
-    def reports_for_digest(self, digest: str) -> list[SolveReport]:
-        """Every cached report for one instance content hash, merged
-        across shards in insertion order."""
-        merged: list[tuple[float, SolveReport]] = []
-        for shard in self.shards:
-            merged.extend(shard.reports_for_digest(digest))
-        merged.sort(key=lambda pair: pair[0])
-        return [rep for _, rep in merged]
-
-    def size(self) -> int:
-        return sum(shard.size() for shard in self.shards)
-
     # -- counting engine protocol -------------------------------------- #
 
     def __len__(self) -> int:
         return self.size()
 
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
     def get(self, key: str) -> SolveReport | None:
-        shard = self._ring.shard_for(key)
-        rep = self.shards[shard].get(key)
-        with self._lock:
-            if rep is None:
-                self.misses += 1
-            else:
-                self.hits += 1
+        rep = self.peek(key)
         if rep is None:
-            CACHE_MISSES.inc(cache=self.label)
-            CACHE_SHARD_OPS.inc(cache=self.label, shard=str(shard),
-                                op="miss")
+            CACHE_MISSES.inc(cache="service")
         else:
-            CACHE_HITS.inc(cache=self.label)
-            CACHE_SHARD_OPS.inc(cache=self.label, shard=str(shard), op="hit")
+            CACHE_HITS.inc(cache="service")
         return rep
 
     def put(self, key: str, report: SolveReport) -> None:
         self.store(key, report.instance_digest, report)
 
-    def close(self) -> None:
-        for shard in self.shards:
-            shard.close()

@@ -13,31 +13,27 @@ The service is split into three swappable layers:
   builds one from a ``store_url`` (``sqlite:///jobs.db`` — WAL, safe
   across threads *and* processes — or ``memory://`` for tests/chaos).
   :class:`~repro.service.store.JobStore` is the SQLite reference
-  implementation; results live in a consistent-hash-sharded cache
-  (:mod:`repro.resultcache`).
+  implementation; results live in one more SQLite file beside it,
+  ``<db>.cache`` (:class:`~repro.resultcache.ServiceCache`).
 * **Workers** — :class:`~repro.service.worker.WorkerNode` drains any
-  backend via its atomic ``claim_next``; ``repro worker --store URL``
-  runs one as a standalone process, and N of them share a store with
-  no double execution. :class:`~repro.service.queue.JobQueue` is the
-  embedded-mode facade the server uses.
+  backend via its atomic ``claim_next``, holding a lease on every job
+  it runs; ``repro worker --store URL`` runs one as a standalone
+  process, and N of them share a store with no double execution.
 * **HTTP** — :class:`~repro.service.server.SchedulingService` / ``serve``
-  (``repro serve``), a stdlib threaded JSON API, versioned under ``/v1``
-  with a uniform error envelope (the original unversioned routes remain
-  as deprecated aliases); :class:`~repro.service.client.ServiceClient`
-  is the Python client (``repro submit``, tests, examples, and the
-  remote backend of :class:`repro.api.Session`).
+  (``repro serve``), a stdlib threaded JSON API under ``/v1`` with a
+  uniform error envelope, owning one worker node for its embedded
+  drainers; :class:`~repro.service.client.ServiceClient` is the Python
+  client (``repro submit``, tests, examples, and the remote backend of
+  :class:`repro.api.Session`).
 """
 
 from .client import ServiceClient, ServiceError
-from .queue import JobQueue
 from .server import SchedulingService, serve
 from .storage import MemoryStore, StoreBackend, open_store
-from .store import (JOB_STATUSES, TERMINAL_STATUSES, JobRecord, JobStore,
-                    SqliteReportCache)
+from .store import JOB_STATUSES, TERMINAL_STATUSES, JobRecord, JobStore
 from .worker import WorkerNode, run_worker
 
-__all__ = ["JobStore", "JobRecord", "SqliteReportCache", "JobQueue",
-           "StoreBackend", "MemoryStore", "open_store",
-           "WorkerNode", "run_worker",
+__all__ = ["JobStore", "JobRecord", "StoreBackend", "MemoryStore",
+           "open_store", "WorkerNode", "run_worker",
            "SchedulingService", "serve", "ServiceClient", "ServiceError",
            "JOB_STATUSES", "TERMINAL_STATUSES"]

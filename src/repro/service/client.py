@@ -54,7 +54,7 @@ class ServiceError(RuntimeError):
     """An HTTP error from the service, with its decoded error envelope.
 
     ``code`` is the machine-readable envelope code (``unknown_solver``,
-    ``not_found``, ...), or ``""`` for pre-envelope/legacy bodies.
+    ``not_found``, ...), or ``""`` for a body without one.
     """
 
     def __init__(self, status: int, message: str, *, code: str = "",
@@ -72,7 +72,7 @@ def _decode_error(status: int, payload: Any) -> ServiceError:
         return ServiceError(status, str(err.get("message", "")),
                             code=str(err.get("code", "")),
                             detail=err.get("detail"))
-    if isinstance(err, str):        # legacy flat shape
+    if isinstance(err, str):        # a non-JSON body: the reason phrase
         return ServiceError(status, err)
     return ServiceError(status, str(payload))
 
@@ -89,11 +89,9 @@ def _dropped(sock: socket.socket) -> bool:
 
 
 class ServiceClient:
-    """Minimal blocking client for one service endpoint.
+    """Minimal blocking client for one service endpoint's ``/v1`` routes.
 
-    ``api_prefix`` selects the surface; the default is the versioned
-    ``/v1`` routes. Pass ``api_prefix=""`` to talk to the deprecated
-    legacy aliases of an old server. ``sync_solve_budget`` is how long
+    ``sync_solve_budget`` is how long
     the server may spend on a ``POST /v1/solve`` submitted without its
     own timeout — match it to the server's ``--timeout`` when that is
     raised above the 60s default, or the client socket closes while the
@@ -105,18 +103,16 @@ class ServiceClient:
     """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0,
-                 api_prefix: str = "/v1",
                  sync_solve_budget: float = 60.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.api_prefix = api_prefix
         self.sync_solve_budget = sync_solve_budget
         url = urllib.parse.urlsplit(self.base_url)
         self._connection_class = (http.client.HTTPSConnection
                                   if url.scheme == "https"
                                   else http.client.HTTPConnection)
         self._netloc = url.netloc
-        self._path_prefix = url.path + api_prefix
+        self._path_prefix = url.path + "/v1"
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
 

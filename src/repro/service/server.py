@@ -1,6 +1,6 @@
-"""Stdlib-only threaded HTTP/JSON API over the job queue.
+"""Stdlib-only threaded HTTP/JSON API over the job store.
 
-The stable, versioned surface lives under ``/v1``::
+Every route lives under ``/v1``::
 
     POST /v1/solve            synchronous solve of one small instance
                               (a repro.api SolveRequest body; echoes the
@@ -32,12 +32,8 @@ with status-appropriate codes: ``invalid_json``, ``invalid_request``,
 ``body_too_large`` (413). ``infeasible`` is the stable code for an
 instance that provably admits no schedule (``C > c * m``): the service
 rejects it at submission instead of queueing work every solver would
-refuse identically.
-
-The pre-versioning routes (``/jobs``, ``/solvers``, ...) remain as thin
-**deprecated** aliases with their original flat ``{"error": "..."}``
-bodies, so older clients keep working; they answer with a
-``Deprecation: true`` header and a ``Link`` to their ``/v1`` successor.
+refuse identically. A path outside ``/v1`` (``/jobs``, ``/solvers``,
+...) answers 404 ``not_found`` in the same envelope.
 
 ``POST /v1/jobs`` body::
 
@@ -63,16 +59,17 @@ processes finish.
 
 Everything is ``http.server`` + ``json`` — no web framework, so the
 service runs anywhere the package does. The HTTP layer is deliberately
-thin: every handler delegates to :class:`~repro.service.store.JobStore`
-/ :class:`~repro.service.queue.JobQueue` (and, for synchronous solves,
-an in-process :class:`repro.api.Session`), which own all state.
+thin: every handler delegates to the store backend, the service's
+:class:`~repro.service.worker.WorkerNode` (its embedded drainers) and,
+for synchronous solves, an in-process :class:`repro.api.Session`, which
+own all state.
 Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY``; bodies are
 compact JSON. ``shutdown()`` ends the keep-alive connections it
 accepted, so a client's pooled connection never outlives the service.
 
 Observability: every request enters a trace context — the ``X-Trace-Id``
 header when the client sent a valid one, a fresh id otherwise. The id is
-echoed in the response header, injected into every ``/v1`` JSON body
+echoed in the response header, injected into every JSON body
 (``trace_id``), stored on submitted jobs, re-entered by the drainer that
 runs them, and stamped into each resulting ``SolveReport.extra`` — one
 id correlates the client call, the structured server/drainer log lines,
@@ -89,23 +86,24 @@ import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Iterable, Mapping
 
 from ..api import Session, SolveRequest
 from ..core.errors import InfeasibleInstanceError, InvalidInstanceError
+from ..core.instance import Instance
 from ..resultcache import CACHE_HITS, CACHE_MISSES
 from ..engine.pool import shutdown_pool
 from ..io import instance_from_dict
 from ..obs.log import get_logger
 from ..obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from ..obs.metrics import REGISTRY
-from ..obs.trace import (TRACE_HEADER, is_valid_trace_id, new_trace_id,
-                         reset_trace_id, set_trace_id)
+from ..obs.trace import (TRACE_HEADER, current_trace_id, is_valid_trace_id,
+                         new_trace_id, reset_trace_id, set_trace_id)
 from ..registry import (NoMatchingSolverError, UnknownSolverError,
                         get_solver, list_solvers, suggest_solvers)
-from .queue import JOBS_ACTIVE, QUEUE_DEPTH, JobQueue
 from .storage import StoreBackend, open_store
-from .store import JOB_STATUSES
+from .store import DEFAULT_MAX_ATTEMPTS, JOB_STATUSES, JobRecord
+from .worker import JOBS_ACTIVE, QUEUE_DEPTH, WorkerNode
 
 __all__ = ["SchedulingService", "serve", "API_VERSION", "MAX_BODY_BYTES",
            "MAX_WAIT_SECONDS", "SYNC_SOLVE_MAX_JOBS"]
@@ -142,6 +140,8 @@ _HTTP_REQUESTS = REGISTRY.counter(
     "repro_http_requests_total", "HTTP requests served, by normalized "
     "route, method and status code.",
     labelnames=("route", "method", "status"))
+_JOBS_SUBMITTED = REGISTRY.counter(
+    "repro_jobs_submitted_total", "Jobs accepted into the queue.")
 _HTTP_SECONDS = REGISTRY.histogram(
     "repro_http_request_seconds",
     "HTTP request handling latency by normalized route and method.",
@@ -257,15 +257,6 @@ def _solver_dict(spec) -> dict:
             "restricted": spec.supports_fn is not None}
 
 
-def _split_version(path: str) -> tuple[bool, str]:
-    """``/v1/jobs`` -> (True, "/jobs"); ``/jobs`` -> (False, "/jobs")."""
-    if path == "/v1":
-        return True, "/"
-    if path.startswith("/v1/"):
-        return True, path[len("/v1"):]
-    return False, path
-
-
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # headers and body go out as two small segments; with Nagle on, the
@@ -274,11 +265,6 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     server: "_HTTPServer"
 
-    #: Set per request: False while serving a legacy (unversioned) alias,
-    #: which switches error bodies to the pre-/v1 flat shape and stamps
-    #: deprecation headers on every response.
-    _v1 = True
-    _successor = ""
     _trace_id = ""
     _status = 0
 
@@ -321,33 +307,21 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         if self._trace_id:
             self.send_header(TRACE_HEADER, self._trace_id)
-        if not self._v1:
-            self.send_header("Deprecation", "true")
-            self.send_header("Link",
-                             f'<{self._successor}>; rel="successor-version"')
         self.end_headers()
         self.wfile.write(data)
 
     def _send_json(self, payload: Any, status: int = 200) -> None:
-        if self._v1 and self._trace_id and isinstance(payload, dict) \
+        if self._trace_id and isinstance(payload, dict) \
                 and not payload.get("trace_id"):
-            # every /v1 JSON body carries the request's trace id; a job
-            # dict that already has its own (submission-time) id keeps it
+            # every JSON body carries the request's trace id; a job dict
+            # that already has its own (submission-time) id keeps it
             payload["trace_id"] = self._trace_id
         self._send_payload(_compact(payload) + b"\n", "application/json",
                            status)
 
     def _send_api_error(self, exc: _ApiError) -> None:
-        if self._v1:
-            body: dict = {"error": {"code": exc.code,
-                                    "message": exc.message,
-                                    "detail": exc.detail}}
-        else:
-            # the flat pre-/v1 shape older clients parse
-            body = {"error": exc.message}
-            if isinstance(exc.detail, dict) and "status" in exc.detail:
-                body["status"] = exc.detail["status"]
-        self._send_json(body, exc.status)
+        self._send_json({"error": {"code": exc.code, "message": exc.message,
+                                   "detail": exc.detail}}, exc.status)
 
     def _drain_body(self) -> bytes:
         # the body is always consumed, even for requests that error out:
@@ -428,23 +402,28 @@ class _Handler(BaseHTTPRequestHandler):
         and record metrics plus one structured log line on the way out."""
         t0 = time.monotonic()
         path, params = self._query()
-        self._v1, sub = _split_version(path)
-        self._successor = f"/{API_VERSION}{sub}"
+        # the route below /v1 ("/v1/jobs" -> "/jobs"); None outside it
+        sub = (path[len("/v1"):] or "/"
+               if path == "/v1" or path.startswith("/v1/") else None)
         header = self.headers.get(TRACE_HEADER) or ""
         self._trace_id = header if is_valid_trace_id(header) \
             else new_trace_id()
         self._status = 0
         token = set_trace_id(self._trace_id)
         try:
+            raw = self._drain_body() if method == "POST" else b""
+            if sub is None:
+                raise _ApiError(404, "not_found",
+                                f"no route for {method} {path}")
             if method == "GET":
                 self._route_get(sub, params)
             else:
-                self._route_post(path, sub)
+                self._route_post(path, sub, raw)
         except _ApiError as exc:
             self._send_api_error(exc)
         finally:
             elapsed = time.monotonic() - t0
-            route = _route_label(sub)
+            route = "other" if sub is None else _route_label(sub)
             status = self._status or 500    # no response sent = aborted
             _HTTP_REQUESTS.inc(route=route, method=method,
                                status=str(status))
@@ -455,18 +434,17 @@ class _Handler(BaseHTTPRequestHandler):
                      status=status, duration_s=round(elapsed, 6))
             reset_trace_id(token)
 
-    def _route_post(self, path: str, sub: str) -> None:
-        raw = self._drain_body()
+    def _route_post(self, path: str, sub: str, raw: bytes) -> None:
         if sub == "/jobs":
             return self._post_job(raw)
-        if sub == "/solve" and self._v1:
+        if sub == "/solve":
             return self._post_solve(raw)
         raise _ApiError(404, "not_found", f"no route for POST {path}")
 
     def _route_get(self, sub: str, params: dict[str, str]) -> None:
         if sub == "/healthz":
             return self._send_json(self.server.service.health())
-        if sub == "/metrics" and self._v1:
+        if sub == "/metrics":
             # the store is shared fleet state the process registry cannot
             # see; derive its gauges at scrape time so one server scrape
             # reports every worker draining the same store
@@ -493,15 +471,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_jobs(self, params: dict[str, str]) -> None:
         store = self.server.service.store
-        if not self._v1:
-            # the pre-/v1 contract: default 100, any integer limit, any
-            # status string (unknown ones just match nothing), no
-            # pagination metadata — old clients must keep working
-            limit = self._int_param(params, "limit", 100,
-                                    lo=-(1 << 62), hi=None)
-            jobs = store.list_jobs(status=params.get("status"),
-                                   limit=limit)
-            return self._send_json({"jobs": [j.to_dict() for j in jobs]})
         status = params.get("status")
         if status is not None and status not in JOB_STATUSES:
             raise _bad("invalid_request",
@@ -519,7 +488,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_job(self, raw: bytes) -> None:
         sub = _parse_submission(self._parse_body(raw))
-        job = self.server.service.queue.submit(
+        job = self.server.service.submit(
             sub["inst"], sub["algorithms"], label=sub["label"],
             priority=sub["priority"], timeout=sub["timeout"])
         self._send_json(job.to_dict(), 201)
@@ -558,7 +527,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _get_job(self, job_id: str, params: dict[str, str]) -> None:
         wait = self._wait_param(params)
         service = self.server.service
-        job = (service.queue.wait_terminal(job_id, wait) if wait
+        job = (service.node.wait_terminal(job_id, wait) if wait
                else service.store.get_job(job_id))
         if job is None:
             raise _ApiError(404, "not_found", f"no job {job_id!r}")
@@ -627,7 +596,7 @@ class _HTTPServer(ThreadingHTTPServer):
 
 
 class SchedulingService:
-    """The composed service: store backend + queue + HTTP server.
+    """The composed service: store backend + worker node + HTTP server.
 
     ``db_path`` names the storage backend: a filesystem path (legacy), a
     ``store_url`` (``sqlite:///jobs.db``, ``memory://``), or an already
@@ -638,10 +607,12 @@ class SchedulingService:
     threads; ``shutdown()`` stops cleanly (jobs still queued stay
     ``queued`` in the store for the next start).
 
-    ``embedded_workers=False`` runs the front door alone: jobs are
-    accepted, persisted and supervised (expired leases still get
-    reclaimed) but executed only by external ``repro worker`` processes
-    pointed at the same store.
+    The service owns one :class:`~repro.service.worker.WorkerNode` with
+    ``drainers`` threads, each holding a lease of ``lease_seconds`` (a
+    positive number) on the job it runs. ``embedded_workers=False`` runs
+    the front door alone: jobs are accepted, persisted and supervised
+    (expired leases still get reclaimed) but executed only by external
+    ``repro worker`` processes pointed at the same store.
     """
 
     #: Ceiling for synchronous ``POST /v1/solve`` runs submitted without
@@ -653,24 +624,23 @@ class SchedulingService:
                  port: int = 8080, drainers: int = 2,
                  engine_workers: int = 0,
                  default_timeout: float | None = None,
-                 lease_seconds: float | None = 30.0,
+                 lease_seconds: float = 30.0,
                  max_attempts: int | None = None,
                  embedded_workers: bool = True,
-                 cache_shards: int | None = None,
                  quiet: bool = True) -> None:
         if isinstance(db_path, StoreBackend):
             self.store = db_path
             self._owns_store = False
         else:
-            self.store = open_store(str(db_path), cache_shards=cache_shards)
+            self.store = open_store(str(db_path))
             self._owns_store = True
-        if not embedded_workers:
-            drainers = 0
-        self.queue = JobQueue(self.store, drainers=drainers,
-                              engine_workers=engine_workers,
-                              default_timeout=default_timeout,
-                              lease_seconds=lease_seconds,
-                              max_attempts=max_attempts)
+        self.node = WorkerNode(self.store,
+                               workers=drainers if embedded_workers else 0,
+                               engine_workers=engine_workers,
+                               default_timeout=default_timeout,
+                               lease_seconds=lease_seconds)
+        self.max_attempts = (DEFAULT_MAX_ATTEMPTS if max_attempts is None
+                             else max_attempts)
         # synchronous /v1/solve runs inline on the handler thread; no
         # shared cache so want_schedule requests always carry their
         # schedule instead of a cache-stripped report
@@ -688,6 +658,20 @@ class SchedulingService:
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
+
+    def submit(self, inst: Instance,
+               algorithms: Iterable[tuple[str, Mapping[str, Any]]],
+               *, label: str = "", priority: int = 0,
+               timeout: float | None = None) -> JobRecord:
+        """Persist a job and wake a drainer. Safe from any thread."""
+        job = self.store.create_job(
+            inst, algorithms, label=label, priority=priority,
+            timeout=self.default_timeout if timeout is None else timeout,
+            trace_id=current_trace_id(), max_attempts=self.max_attempts)
+        _JOBS_SUBMITTED.inc()
+        QUEUE_DEPTH.set(self.store.count_jobs("queued"))
+        self.node.notify()
+        return job
 
     def solve_sync(self, request: SolveRequest) -> Any:
         """Run one ``POST /v1/solve`` request inline, with the service's
@@ -712,9 +696,9 @@ class SchedulingService:
             "store": self.store.url,
             "queue_depth": int(QUEUE_DEPTH.value()),
             "active_jobs": int(JOBS_ACTIVE.value()),
-            "drainers": self.queue.drainers,
+            "drainers": self.node.workers,
             "jobs": self.store.counts(),
-            "cache": {"entries": len(self.queue.cache), "hits": int(hits),
+            "cache": {"entries": len(self.node.cache), "hits": int(hits),
                       "misses": int(misses),
                       "hit_rate": round(hits / lookups, 4) if lookups
                       else 0.0},
@@ -730,7 +714,11 @@ class SchedulingService:
             _STORE_WORKER_CLAIMS.set(claims, worker=worker)
 
     def start(self) -> "SchedulingService":
-        self.recovered = self.queue.start()
+        """Requeue the work a previous process left, start the worker
+        node, then serve."""
+        self.recovered = len(self.store.recover_incomplete())
+        self.node.start()
+        QUEUE_DEPTH.set(self.store.count_jobs("queued"))
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         daemon=True, name="repro-http")
         self._thread.start()
@@ -739,7 +727,7 @@ class SchedulingService:
     def shutdown(self, *, drain_grace: float | None = None) -> None:
         """Stop serving. The HTTP front door closes first (no new work,
         keep-alive connections ended, pending long-polls answered with
-        the job's current record), then the queue drains: without
+        the job's current record), then the worker node drains: without
         ``drain_grace``, until every in-flight job finishes; with it, at
         most that many seconds — the leases of jobs still running are
         then released back to the store untouched, for the next start
@@ -749,7 +737,7 @@ class SchedulingService:
         self._httpd.close_connections()
         if self._thread is not None:
             self._thread.join()
-        self.released = self.queue.stop(wait=True, grace=drain_grace)
+        self.released = self.node.stop(wait=True, grace=drain_grace)
         if self._owns_store:
             self.store.close()
         # release the engine's shared process pool the drainers fanned out
@@ -760,11 +748,10 @@ class SchedulingService:
 def serve(db_path: str, *, host: str = "127.0.0.1", port: int = 8080,
           drainers: int = 2, engine_workers: int = 0,
           default_timeout: float | None = None,
-          lease_seconds: float | None = 30.0,
+          lease_seconds: float = 30.0,
           max_attempts: int | None = None,
           drain_grace: float = 10.0,
           embedded_workers: bool = True,
-          cache_shards: int | None = None,
           quiet: bool = False, log_level: str | None = None) -> None:
     """Run the service in the foreground until interrupted (CLI entry).
 
@@ -789,10 +776,9 @@ def serve(db_path: str, *, host: str = "127.0.0.1", port: int = 8080,
                             default_timeout=default_timeout,
                             lease_seconds=lease_seconds,
                             max_attempts=max_attempts,
-                            embedded_workers=embedded_workers,
-                            cache_shards=cache_shards, quiet=quiet)
+                            embedded_workers=embedded_workers, quiet=quiet)
     svc.start()
-    workers = svc.queue.drainers if embedded_workers else "none (external)"
+    workers = svc.node.workers if embedded_workers else "none (external)"
     print(f"repro service listening on {svc.url}/{API_VERSION}  "
           f"(store={svc.store.url}, workers={workers}, "
           f"recovered {svc.recovered} job(s))", flush=True)

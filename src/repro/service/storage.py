@@ -1,13 +1,13 @@
 """The storage layer's contract and its non-SQLite backends.
 
 :class:`StoreBackend` is the protocol every store speaks — the full
-create/claim/heartbeat/requeue/finish/cache surface the queue, the
-worker nodes, the HTTP server and chaos all program against. Two
+create/claim/heartbeat/requeue/finish/cache surface the worker nodes,
+the HTTP server and chaos all program against. Two
 implementations ship:
 
 * :class:`~repro.service.store.JobStore` — the SQLite reference
-  implementation (WAL, per-thread connections, shard files for the
-  result cache); the only backend multiple *processes* can share.
+  implementation (WAL, per-thread connections, one more SQLite file for
+  the result cache); the only backend multiple *processes* can share.
 * :class:`MemoryStore` — a pure-dict twin with identical lease/retry
   semantics, for tests and chaos campaigns that want a store with zero
   filesystem footprint (and a place to wedge failures without touching
@@ -34,8 +34,7 @@ from typing import (Any, Iterable, Mapping, Protocol, runtime_checkable)
 from ..core.instance import Instance
 from ..engine.report import SolveReport
 from ..faults import injection
-from ..resultcache import (DEFAULT_CACHE_SHARDS, MemoryCacheShard,
-                           ShardedReportCache)
+from ..resultcache import ServiceCache
 from .store import DEFAULT_MAX_ATTEMPTS, JOB_STATUSES, JobRecord, JobStore
 
 __all__ = ["StoreBackend", "MemoryStore", "open_store"]
@@ -43,7 +42,7 @@ __all__ = ["StoreBackend", "MemoryStore", "open_store"]
 
 @runtime_checkable
 class StoreBackend(Protocol):
-    """What the queue, worker nodes, server and chaos require of a store.
+    """What the worker nodes, server and chaos require of a store.
 
     The lease semantics are the contract's heart — see
     :class:`~repro.service.store.JobStore` (the reference
@@ -70,9 +69,9 @@ class StoreBackend(Protocol):
     def counts(self) -> dict[str, int]: ...
 
     # lease protocol
-    def claim_job(self, job_id: str, lease_seconds: float | None = None,
+    def claim_job(self, job_id: str, lease_seconds: float,
                   *, worker: str = "") -> bool: ...
-    def claim_next(self, lease_seconds: float | None = None,
+    def claim_next(self, lease_seconds: float,
                    *, worker: str = "") -> JobRecord | None: ...
     def claims_by_worker(self) -> dict[str, int]: ...
     def heartbeat(self, job_id: str, lease_seconds: float) -> bool: ...
@@ -105,15 +104,12 @@ class MemoryStore:
     two backends are interchangeable under the conformance suite.
     """
 
-    def __init__(self, *, cache_shards: int | None = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._jobs: dict[str, JobRecord] = {}
         self._reports: dict[str, list[SolveReport]] = {}
         self._claims: dict[str, int] = {}
-        self.cache = ShardedReportCache(
-            [MemoryCacheShard()
-             for _ in range(cache_shards or DEFAULT_CACHE_SHARDS)],
-            label="service")
+        self.cache = ServiceCache(":memory:")
 
     @property
     def url(self) -> str:
@@ -175,7 +171,7 @@ class MemoryStore:
     # lease protocol
     # ------------------------------------------------------------------ #
 
-    def claim_job(self, job_id: str, lease_seconds: float | None = None,
+    def claim_job(self, job_id: str, lease_seconds: float,
                   *, worker: str = "") -> bool:
         now = time.time()
         with self._lock:
@@ -186,14 +182,13 @@ class MemoryStore:
                 return False
             self._jobs[job_id] = replace(
                 job, status="running", started_at=now,
-                lease_expires_at=(now + lease_seconds
-                                  if lease_seconds else None),
+                lease_expires_at=now + lease_seconds,
                 attempts=job.attempts + 1, claimed_by=worker or None)
             if worker:
                 self._claims[worker] = self._claims.get(worker, 0) + 1
             return True
 
-    def claim_next(self, lease_seconds: float | None = None,
+    def claim_next(self, lease_seconds: float,
                    *, worker: str = "") -> JobRecord | None:
         now = time.time()
         with self._lock:
@@ -258,8 +253,7 @@ class MemoryStore:
         quarantined: list[JobRecord] = []
         with self._lock:
             for job in list(self._jobs.values()):
-                if job.status != "running" or job.lease_expires_at is None \
-                        or job.lease_expires_at > now:
+                if job.status != "running" or job.lease_expires_at > now:
                     continue
                 note = (f"lease expired mid-run (attempt "
                         f"{job.attempts}/{job.max_attempts})")
@@ -336,8 +330,7 @@ class MemoryStore:
         return self.cache.size()
 
 
-def open_store(url: str | os.PathLike, *,
-               cache_shards: int | None = None) -> JobStore | MemoryStore:
+def open_store(url: str | os.PathLike) -> JobStore | MemoryStore:
     """Open a store from a ``store_url`` (or a bare SQLite path).
 
     ``sqlite:///jobs.db`` / ``sqlite:////var/lib/repro/jobs.db`` open
@@ -348,7 +341,7 @@ def open_store(url: str | os.PathLike, *,
     """
     text = os.fspath(url)
     if text == "memory://" or text == "memory:":
-        return MemoryStore(cache_shards=cache_shards)
+        return MemoryStore()
     if text.startswith("sqlite://"):
         path = text[len("sqlite://"):]
         if path.startswith("/") and not path.startswith("//"):
@@ -356,11 +349,11 @@ def open_store(url: str | os.PathLike, *,
         elif path.startswith("//"):
             path = path[1:]         # sqlite:////abs.db -> /abs.db
         if not path or path == ":memory:":
-            return JobStore(":memory:", cache_shards=cache_shards)
-        return JobStore(path, cache_shards=cache_shards)
+            return JobStore(":memory:")
+        return JobStore(path)
     if "://" in text:
         scheme = text.split("://", 1)[0]
         raise ValueError(
             f"unsupported store scheme {scheme!r} in {text!r}; "
             f"expected sqlite:///path or memory://")
-    return JobStore(text, cache_shards=cache_shards)
+    return JobStore(text)

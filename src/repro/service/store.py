@@ -12,11 +12,9 @@ One database file holds everything the service must not lose on restart:
   can expose per-worker counters for workers living in *other*
   processes (their in-process metric registries are invisible here).
 
-The cross-client result cache lives next to the database as N shard
-files (``<path>.cache-<k>``, consistent-hashed by report key — see
-:class:`~repro.resultcache.ShardedReportCache`), reached through the
-same ``cache_get``/``cache_put`` seam as before; a pre-shard ``results``
-table found in an old database is migrated into the shards on open.
+The cross-client result cache lives next to the database in one more
+SQLite file, ``<path>.cache`` (:class:`~repro.resultcache.ServiceCache`),
+reached through the ``cache_get``/``cache_put`` seam.
 
 Concurrency. The store is accessed from many threads (HTTP handlers +
 worker-node drainers) and, in fleet topologies, from many *processes*.
@@ -48,12 +46,10 @@ from ..core.instance import Instance
 from ..engine.report import SolveReport
 from ..faults import injection
 from ..io import instance_from_dict, instance_to_dict
-from ..resultcache import (CACHE_HITS, CACHE_MISSES, DEFAULT_CACHE_SHARDS,
-                           MemoryCacheShard, ShardedReportCache,
-                           SqliteCacheShard)
+from ..resultcache import ServiceCache
 
-__all__ = ["JobStore", "JobRecord", "SqliteReportCache", "JOB_STATUSES",
-           "TERMINAL_STATUSES", "DEFAULT_MAX_ATTEMPTS"]
+__all__ = ["JobStore", "JobRecord", "JOB_STATUSES", "TERMINAL_STATUSES",
+           "DEFAULT_MAX_ATTEMPTS"]
 
 #: Lifecycle of a job. ``queued`` and ``running`` survive restarts as
 #: ``queued`` (until their attempts run out); ``done``, ``failed`` and
@@ -106,11 +102,6 @@ CREATE TABLE IF NOT EXISTS reports (
 CREATE TABLE IF NOT EXISTS worker_claims (
     worker TEXT PRIMARY KEY,
     claims INTEGER NOT NULL DEFAULT 0
-);
-
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
 );
 """
 
@@ -177,15 +168,9 @@ class _Rollback(Exception):
 
 
 class JobStore:
-    """Thread- and process-safe persistent job + report + cache store.
+    """Thread- and process-safe persistent job + report + cache store."""
 
-    ``cache_shards`` sets the result-cache fan-out for a *fresh*
-    database; an existing one keeps the count it was created with (the
-    consistent-hash ring must match the shard files on disk).
-    """
-
-    def __init__(self, path: str | os.PathLike, *,
-                 cache_shards: int | None = None) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = str(path)
         self._serial = self.path == ":memory:" \
             or self.path.startswith("file::memory:")
@@ -204,8 +189,8 @@ class JobStore:
         self._connection().executescript(_SCHEMA)
         with self._write() as conn:
             self._migrate(conn)
-        self.cache = self._open_cache(cache_shards)
-        self._migrate_legacy_results()
+        self.cache = ServiceCache(":memory:" if self._serial
+                                  else f"{self.path}.cache")
 
     # ------------------------------------------------------------------ #
     # connections & transactions
@@ -305,60 +290,6 @@ class JobStore:
             self._conns.clear()
 
     # ------------------------------------------------------------------ #
-    # result-cache shards
-    # ------------------------------------------------------------------ #
-
-    def _meta_get(self, key: str) -> str | None:
-        with self._read() as conn:
-            row = conn.execute("SELECT value FROM meta WHERE key=?",
-                               (key,)).fetchone()
-        return row["value"] if row is not None else None
-
-    def _meta_set(self, key: str, value: str) -> None:
-        with self._write() as conn:
-            conn.execute("INSERT OR REPLACE INTO meta (key, value) "
-                         "VALUES (?, ?)", (key, value))
-
-    def _open_cache(self, cache_shards: int | None) -> ShardedReportCache:
-        if self._serial:
-            count = cache_shards or DEFAULT_CACHE_SHARDS
-            shards = [MemoryCacheShard() for _ in range(count)]
-            return ShardedReportCache(shards, label="service")
-        stored = self._meta_get("cache_shards")
-        if stored is not None:
-            # the ring must match the shard files already on disk; a
-            # mismatched request would silently miss every old entry
-            count = int(stored)
-        else:
-            count = cache_shards or DEFAULT_CACHE_SHARDS
-            self._meta_set("cache_shards", str(count))
-        shards = [SqliteCacheShard(f"{self.path}.cache-{k}")
-                  for k in range(count)]
-        return ShardedReportCache(shards, label="service")
-
-    def _migrate_legacy_results(self) -> None:
-        """Move a pre-shard ``results`` table into the shard files, then
-        drop it — an old monolithic database keeps its warm cache."""
-        with self._read() as conn:
-            present = conn.execute(
-                "SELECT name FROM sqlite_master WHERE type='table' "
-                "AND name='results'").fetchone()
-        if present is None:
-            return
-        with self._read() as conn:
-            rows = conn.execute(
-                "SELECT key, instance_digest, report FROM results "
-                "ORDER BY stored_at").fetchall()
-        for row in rows:
-            try:
-                rep = SolveReport.from_dict(json.loads(row["report"]))
-            except (ValueError, TypeError, json.JSONDecodeError):
-                continue    # corrupt legacy entry: drop it
-            self.cache.store(row["key"], row["instance_digest"], rep)
-        with self._write() as conn:
-            conn.execute("DROP TABLE results")
-
-    # ------------------------------------------------------------------ #
     # jobs
     # ------------------------------------------------------------------ #
 
@@ -426,19 +357,17 @@ class JobStore:
             (n,) = conn.execute(q, params).fetchone()
         return n
 
-    def claim_job(self, job_id: str, lease_seconds: float | None = None,
+    def claim_job(self, job_id: str, lease_seconds: float,
                   *, worker: str = "") -> bool:
         """Atomically flip one ``queued`` job to ``running``, counting
-        the attempt and (when ``lease_seconds`` is given) stamping a
-        lease plus the claiming ``worker``'s name.
+        the attempt and stamping a lease of ``lease_seconds`` plus the
+        claiming ``worker``'s name.
 
         Returns False when the job is gone, already claimed, or parked
         behind its retry backoff (``next_attempt_at`` in the future) —
         any number of worker nodes may race one id, and exactly one must
-        win. A claim without a lease never expires — the legacy
-        single-node behaviour, recovered only by a restart."""
+        win."""
         now = time.time()
-        lease = now + lease_seconds if lease_seconds else None
         claimed = False
         with self._write() as conn:
             cur = conn.execute(
@@ -446,7 +375,7 @@ class JobStore:
                 "lease_expires_at=?, attempts=attempts+1, claimed_by=? "
                 "WHERE id=? AND status='queued' "
                 "AND (next_attempt_at IS NULL OR next_attempt_at<=?)",
-                (now, lease, worker or None, job_id, now))
+                (now, now + lease_seconds, worker or None, job_id, now))
             if cur.rowcount != 1:
                 raise _Rollback
             if worker:
@@ -457,7 +386,7 @@ class JobStore:
             claimed = True
         return claimed
 
-    def claim_next(self, lease_seconds: float | None = None,
+    def claim_next(self, lease_seconds: float,
                    *, worker: str = "") -> JobRecord | None:
         """Claim the most urgent eligible ``queued`` job — highest
         priority first, FIFO within a priority level — and return its
@@ -550,7 +479,6 @@ class JobStore:
         with self._write() as conn:
             rows = conn.execute(
                 "SELECT * FROM jobs WHERE status='running' "
-                "AND lease_expires_at IS NOT NULL "
                 "AND lease_expires_at<=?", (now,)).fetchall()
             for row in rows:
                 rec = _row_to_record(row)
@@ -652,7 +580,7 @@ class JobStore:
         return out
 
     # ------------------------------------------------------------------ #
-    # cross-client result cache (delegates to the shards)
+    # cross-client result cache
     # ------------------------------------------------------------------ #
 
     def cache_get(self, key: str) -> SolveReport | None:
@@ -668,46 +596,3 @@ class JobStore:
 
     def cache_size(self) -> int:
         return self.cache.size()
-
-
-class SqliteReportCache:
-    """Adapter giving a store's result cache the ``get``/``put``
-    interface ``run_batch(cache=...)`` expects, with the same hit/miss
-    counters :class:`~repro.resultcache.ReportCache` exposes. Kept for
-    callers that count hits per-adapter; new code can hand
-    ``store.cache`` (a counting :class:`ShardedReportCache`) to the
-    engine directly."""
-
-    def __init__(self, store: JobStore) -> None:
-        self._store = store
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return self._store.cache_size()
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    def get(self, key: str) -> SolveReport | None:
-        rep = self._store.cache_get(key)
-        with self._lock:
-            if rep is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        # mirrored into the process-global registry so /v1/healthz and
-        # /v1/metrics read the same numbers (label "service" keeps the
-        # persistent store cache distinct from the engine's ReportCache)
-        if rep is None:
-            CACHE_MISSES.inc(cache="service")
-        else:
-            CACHE_HITS.inc(cache="service")
-        return rep
-
-    def put(self, key: str, report: SolveReport) -> None:
-        self._store.cache_put(key, report.instance_digest, report)

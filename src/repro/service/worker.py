@@ -7,11 +7,13 @@ number of nodes (threads in the server process, or whole separate
 ``repro worker`` processes) can drain one store with no job ever
 executed twice. Each claimed job runs its instance x algorithms grid
 through a :class:`repro.api.Session` (the same facade every other
-consumer uses) with the store's sharded result cache plugged in, and
-persists the resulting reports.
+consumer uses) with the store's result cache plugged in, and persists
+the resulting reports. The HTTP server owns one node for its embedded
+drainers; ``repro worker`` runs one per process.
 
-Crash safety. A supervisor thread heartbeats the lease of every
-in-flight job, reclaims jobs whose lease expired anywhere in the fleet
+Crash safety. Every claim holds a lease. A supervisor thread, always
+running, heartbeats the lease of every in-flight job, reclaims jobs
+whose lease expired anywhere in the fleet
 (their worker died or hung — the store requeues them with exponential
 backoff + full jitter, or quarantines them once ``max_attempts`` is
 spent), and respawns drainer threads that died (e.g. to an injected
@@ -127,8 +129,7 @@ class WorkerNode:
         Per-run timeout (seconds) for jobs that carry none.
     lease_seconds:
         Length of the store lease a drainer holds (and keeps
-        heartbeating) while running a job. ``None`` disables leases and
-        supervision — the legacy die-and-recover-on-restart behaviour.
+        heartbeating) while running a job; a positive number.
     reclaim_interval:
         Supervisor tick (heartbeats, reclaims, drainer respawn).
         Default: a third of the lease, capped at 1s.
@@ -143,25 +144,25 @@ class WorkerNode:
     def __init__(self, store, *, workers: int = 2, engine_workers: int = 0,
                  name: str | None = None,
                  default_timeout: float | None = None,
-                 lease_seconds: float | None = 30.0,
+                 lease_seconds: float = 30.0,
                  reclaim_interval: float | None = None,
                  retry_backoff_base: float = 0.2,
                  retry_backoff_cap: float = 30.0,
                  poll_interval: float = 0.25) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if lease_seconds is not None and lease_seconds <= 0:
+        if lease_seconds is None or not lease_seconds > 0:
             raise ValueError(
-                f"lease_seconds must be > 0 or None, got {lease_seconds}")
+                f"lease_seconds must be > 0, got {lease_seconds}")
         self.store = store
         self.workers = workers
         self.engine_workers = engine_workers
         self.name = name or f"node-{os.getpid()}-{next(_NODE_IDS)}"
         self.default_timeout = default_timeout
         self.lease_seconds = lease_seconds
-        if reclaim_interval is None and lease_seconds is not None:
-            reclaim_interval = min(1.0, lease_seconds / 3.0)
-        self.reclaim_interval = reclaim_interval
+        self.reclaim_interval = (min(1.0, lease_seconds / 3.0)
+                                 if reclaim_interval is None
+                                 else reclaim_interval)
         self.retry_backoff_base = retry_backoff_base
         self.retry_backoff_cap = retry_backoff_cap
         self.poll_interval = poll_interval
@@ -183,7 +184,7 @@ class WorkerNode:
     # ------------------------------------------------------------------ #
 
     def start(self) -> "WorkerNode":
-        """Spawn the drainers and (when leases are on) the supervisor."""
+        """Spawn the drainers and the supervisor."""
         if self.engine_workers > 1 and self.workers > 0:
             # pre-warm the shared engine pool to the *aggregate* demand:
             # each drainer's batch caps its own fan-out at engine_workers,
@@ -195,13 +196,12 @@ class WorkerNode:
             self._stopping = False
         for _ in range(self.workers):
             self._spawn_drainer()
-        if self.lease_seconds is not None:
-            # supervision runs even with zero drainers: an accept-only
-            # server must still reclaim leases its external workers drop
-            self._supervisor = threading.Thread(
-                target=self._supervise_loop, daemon=True,
-                name=f"repro-supervisor-{self.name}")
-            self._supervisor.start()
+        # supervision runs even with zero drainers: an accept-only server
+        # must still reclaim leases its external workers drop
+        self._supervisor = threading.Thread(
+            target=self._supervise_loop, daemon=True,
+            name=f"repro-supervisor-{self.name}")
+        self._supervisor.start()
         return self
 
     def _spawn_drainer(self) -> threading.Thread:
@@ -374,7 +374,7 @@ class WorkerNode:
         trace context."""
         error = f"{type(exc).__name__}: {exc}"
         attempts = job.attempts     # fetched post-claim: already counted
-        if retryable(exc) and self.lease_seconds is not None:
+        if retryable(exc):
             if attempts < job.max_attempts:
                 delay = self._backoff(attempts)
                 if self.store.requeue_job(job.id, error=error, delay=delay):
@@ -411,11 +411,10 @@ class WorkerNode:
     # ------------------------------------------------------------------ #
 
     def _supervise_loop(self) -> None:
-        interval = self.reclaim_interval or 1.0
         while True:
             with self._cv:
                 if self._cv.wait_for(lambda: self._stopping,
-                                     timeout=interval):
+                                     timeout=self.reclaim_interval):
                     return
             try:
                 self._tick()
@@ -459,7 +458,7 @@ class WorkerNode:
 
 
 def run_worker(store_url: str, *, workers: int = 2, engine_workers: int = 0,
-               name: str | None = None, lease_seconds: float | None = 30.0,
+               name: str | None = None, lease_seconds: float = 30.0,
                default_timeout: float | None = None,
                poll_interval: float = 0.25, drain_grace: float = 10.0,
                quiet: bool = False, log_level: str | None = None) -> None:

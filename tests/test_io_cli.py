@@ -1,11 +1,16 @@
 """Tests for JSON serialisation and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import Instance, validate
 from repro.__main__ import main
 from repro.approx.nonpreemptive import solve_nonpreemptive
@@ -98,3 +103,20 @@ class TestCLI:
               "--slots", "2", "-o", inst_path])
         assert main(["solve", inst_path, "--algorithm", "ptas-nonpreemptive",
                      "--delta", "2"]) == 0
+
+
+class TestLeaseSecondsCLI:
+    @pytest.mark.parametrize("argv", [["serve", "--port", "0"],
+                                      ["worker", "--store", "memory://"]],
+                             ids=["serve", "worker"])
+    def test_zero_lease_exits_with_an_error_line(self, tmp_path, argv):
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--lease-seconds", "0"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert any("error:" in line and "--lease-seconds" in line
+                   for line in proc.stderr.splitlines()), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []   # no store was opened

@@ -1,9 +1,9 @@
 """Crash-safe job lifecycle: leases, retries, reclaim, quarantine.
 
-Store-level tests drive the lease protocol directly; queue-level tests
-run a real :class:`JobQueue` with injected failures and assert jobs end
-in the right terminal state without manual intervention — the invariant
-``repro chaos`` checks at scale.
+Store-level tests drive the lease protocol directly; node-level tests
+run a real :class:`WorkerNode` over jobs made with ``store.create_job``,
+inject failures, and assert jobs end in the right terminal state without
+manual intervention — the invariant ``repro chaos`` checks at scale.
 """
 
 import sqlite3
@@ -15,8 +15,9 @@ import pytest
 from repro import Instance
 from repro.faults import injection
 from repro.faults.injection import FaultInjected
-from repro.service import JobQueue, JobStore
-from repro.service.queue import _DRAINER_RESTARTS, LEASE_RECLAIMS
+from repro.service import JobStore, WorkerNode
+from repro.service.worker import (_DRAINER_RESTARTS, LEASE_RECLAIMS,
+                                  retryable)
 
 
 @pytest.fixture(autouse=True)
@@ -57,12 +58,6 @@ class TestLeaseStore:
         assert back.status == "running"
         assert back.attempts == 1
         assert back.lease_expires_at == pytest.approx(time.time() + 30, abs=5)
-
-    def test_claim_without_lease_never_expires(self, store, inst):
-        job = store.create_job(inst, [("lpt", {})])
-        assert store.claim_job(job.id)
-        assert store.get_job(job.id).lease_expires_at is None
-        assert store.reclaim_expired(lambda a: 0.0) == ([], [])
 
     def test_claim_respects_retry_backoff(self, store, inst):
         job = store.create_job(inst, [("lpt", {})])
@@ -154,7 +149,7 @@ class TestRetryClassification:
         RuntimeError("broken pipe to worker"),
     ])
     def test_infrastructure_failures_retry(self, exc):
-        assert JobQueue._retryable(exc)
+        assert retryable(exc)
 
     @pytest.mark.parametrize("exc", [
         ValueError("bad instance"),
@@ -163,28 +158,28 @@ class TestRetryClassification:
         TypeError("unhashable"),
     ])
     def test_input_failures_do_not(self, exc):
-        assert not JobQueue._retryable(exc)
+        assert not retryable(exc)
 
     def test_backoff_envelope(self, store):
-        q = JobQueue(store, drainers=0, retry_backoff_base=0.2,
-                     retry_backoff_cap=1.0)
+        node = WorkerNode(store, workers=0, retry_backoff_base=0.2,
+                          retry_backoff_cap=1.0)
         for attempt in range(1, 10):
             ceiling = min(1.0, 0.2 * 2 ** (attempt - 1))
             for _ in range(20):
-                assert 0.0 <= q._backoff(attempt) <= ceiling
+                assert 0.0 <= node._backoff(attempt) <= ceiling
 
 
-def _make_queue(store, **over):
-    opts = dict(drainers=1, engine_workers=0, lease_seconds=5.0,
+def _make_node(store, **over):
+    opts = dict(workers=1, engine_workers=0, lease_seconds=5.0,
                 reclaim_interval=0.02, retry_backoff_base=0.01,
-                retry_backoff_cap=0.05)
+                retry_backoff_cap=0.05, poll_interval=0.02)
     opts.update(over)
-    return JobQueue(store, **opts)
+    return WorkerNode(store, **opts)
 
 
 class TestQueueLifecycle:
     def test_transient_failure_retries_to_done(self, store, inst):
-        queue = _make_queue(store)
+        node = _make_node(store)
         real_finish = store.finish_job
         calls = []
 
@@ -195,40 +190,40 @@ class TestQueueLifecycle:
             return real_finish(job_id, reports, **kw)
 
         store.finish_job = flaky_finish
-        queue.start()
+        node.start()
         try:
-            job = queue.submit(inst, [("lpt", {})])
+            job = store.create_job(inst, [("lpt", {})])
             back = _wait_status(store, job.id, ("done",))
             assert back.attempts == 2       # one failure, one success
             assert len(store.reports_for(job.id)) == 1
         finally:
-            queue.stop(wait=True, grace=5.0)
+            node.stop(wait=True, grace=5.0)
 
     def test_exhausted_retries_quarantine(self, store, inst):
-        queue = _make_queue(store, max_attempts=2)
+        node = _make_node(store)
         store.finish_job = lambda *a, **k: (_ for _ in ()).throw(
             FaultInjected("store_commit"))
-        queue.start()
+        node.start()
         try:
-            job = queue.submit(inst, [("lpt", {})])
+            job = store.create_job(inst, [("lpt", {})], max_attempts=2)
             back = _wait_status(store, job.id, ("quarantined",))
             assert back.attempts == 2
             assert "no attempts left" in back.error
         finally:
-            queue.stop(wait=True, grace=5.0)
+            node.stop(wait=True, grace=5.0)
 
     def test_non_retryable_fails_first_attempt(self, store, inst):
-        queue = _make_queue(store)
-        queue._session.solve_batch = lambda req: (_ for _ in ()).throw(
+        node = _make_node(store)
+        node._session.solve_batch = lambda req: (_ for _ in ()).throw(
             ValueError("malformed"))
-        queue.start()
+        node.start()
         try:
-            job = queue.submit(inst, [("lpt", {})])
+            job = store.create_job(inst, [("lpt", {})])
             back = _wait_status(store, job.id, ("failed",))
             assert back.attempts == 1
             assert "ValueError: malformed" in back.error
         finally:
-            queue.stop(wait=True, grace=5.0)
+            node.stop(wait=True, grace=5.0)
 
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning")
@@ -236,54 +231,54 @@ class TestQueueLifecycle:
         # rate-1 drainer_loop: every drainer dies right after claiming.
         # Supervision must reclaim the lease each time and respawn the
         # drainer; with attempts exhausted the job lands in quarantine.
-        queue = _make_queue(store, max_attempts=2, lease_seconds=0.1)
+        node = _make_node(store, lease_seconds=0.1)
         restarts0 = _DRAINER_RESTARTS.value()
         reclaims0 = LEASE_RECLAIMS.value()
         injection.configure("drainer_loop:1")
-        queue.start()
+        node.start()
         try:
-            job = queue.submit(inst, [("lpt", {})])
+            job = store.create_job(inst, [("lpt", {})], max_attempts=2)
             back = _wait_status(store, job.id, ("quarantined",), timeout=30.0)
             assert "lease expired" in back.error
             assert LEASE_RECLAIMS.value() - reclaims0 >= 2
             assert _DRAINER_RESTARTS.value() - restarts0 >= 1
         finally:
             injection.reset()
-            queue.stop(wait=True, grace=5.0)
+            node.stop(wait=True, grace=5.0)
 
     def test_graceful_stop_releases_leases(self, store, inst):
-        queue = _make_queue(store)
-        queue._session.solve_batch = lambda req: time.sleep(60)
-        queue.start()
+        node = _make_node(store)
+        node._session.solve_batch = lambda req: time.sleep(60)
+        node.start()
         try:
-            job = queue.submit(inst, [("lpt", {})])
+            job = store.create_job(inst, [("lpt", {})])
             _wait_status(store, job.id, ("running",))
-            released = queue.stop(wait=True, grace=0.2)
+            released = node.stop(wait=True, grace=0.2)
             assert released == 1
             back = store.get_job(job.id)
             assert back.status == "queued"
             assert back.attempts == 0       # refunded, not burned
         finally:
-            queue.stop(wait=False)
+            node.stop(wait=False)
 
     def test_watchdog_timeout_on_drainer_thread(self, store, inst):
         # engine_workers=0 solves inline on the drainer thread, where
         # SIGALRM cannot arm — the watchdog-thread fallback must produce
         # a timeout report and leave the drainer alive for the next job.
-        queue = _make_queue(store)
+        node = _make_node(store)
         injection.configure("solve_delay:1:0.5")
-        queue.start()
+        node.start()
         try:
-            job = queue.submit(inst, [("lpt", {})], timeout=0.05)
+            job = store.create_job(inst, [("lpt", {})], timeout=0.05)
             _wait_status(store, job.id, ("done",))
             (rep,) = store.reports_for(job.id)
             assert rep.status == "timeout"
             assert "exceeded" in rep.error
 
             injection.reset()               # same drainer, clean solve
-            job2 = queue.submit(inst, [("lpt", {})], timeout=30.0)
+            job2 = store.create_job(inst, [("lpt", {})], timeout=30.0)
             _wait_status(store, job2.id, ("done",))
             (rep2,) = store.reports_for(job2.id)
             assert rep2.status == "ok"
         finally:
-            queue.stop(wait=True, grace=5.0)
+            node.stop(wait=True, grace=5.0)

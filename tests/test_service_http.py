@@ -88,7 +88,7 @@ class TestHTTPBasics:
         job = client.submit(inst, ["splittable", "lpt"])
         client.wait(job["id"])
         with urllib.request.urlopen(
-                f"{service.url}/jobs/{job['id']}/reports?format=ndjson"
+                f"{service.url}/v1/jobs/{job['id']}/reports?format=ndjson"
         ) as resp:
             assert resp.headers["Content-Type"] == "application/x-ndjson"
             lines = [ln for ln in resp.read().decode().splitlines() if ln]

@@ -167,13 +167,6 @@ class TestTracePropagation:
         (rep,) = client.wait(job["id"])
         assert rep.extra.get("trace_id") == job["trace_id"]
 
-    def test_legacy_routes_stay_untouched(self, service, inst):
-        # the pre-/v1 alias keeps its exact body shape: no trace_id key
-        _, headers, body = _get(f"{service.url}/jobs")
-        payload = json.loads(body)
-        assert set(payload) == {"jobs"}
-        assert headers["Deprecation"] == "true"
-
 
 class TestMetricsCLI:
     def test_local_registry_dump(self, capsys):

@@ -1,4 +1,4 @@
-"""Tests for the service persistence layer: JobStore + SqliteReportCache."""
+"""Tests for the service persistence layer: JobStore and its result cache."""
 
 from fractions import Fraction
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro import Instance
 from repro.engine import SolveReport, cache_key
-from repro.service import JobStore, SqliteReportCache
+from repro.resultcache import CACHE_HITS, CACHE_MISSES
+from repro.service import JobStore
 
 
 @pytest.fixture
@@ -50,16 +51,16 @@ class TestJobLifecycle:
 
     def test_claim_is_exclusive(self, store, inst):
         job = store.create_job(inst, [("lpt", {})])
-        assert store.claim_job(job.id)
-        assert not store.claim_job(job.id)      # second claimer loses
+        assert store.claim_job(job.id, 30.0)
+        assert not store.claim_job(job.id, 30.0)    # second claimer loses
         assert store.get_job(job.id).status == "running"
 
     def test_finish_and_counts(self, store, inst):
         a = store.create_job(inst, [("lpt", {})])
         b = store.create_job(inst, [("lpt", {})])
-        store.claim_job(a.id)
+        store.claim_job(a.id, 30.0)
         store.finish_job(a.id, [_report(inst)])
-        store.claim_job(b.id)
+        store.claim_job(b.id, 30.0)
         store.finish_job(b.id, [], error="boom")
         assert store.counts() == {"queued": 0, "running": 0,
                                   "done": 1, "failed": 1,
@@ -74,7 +75,7 @@ class TestJobLifecycle:
     def test_list_jobs_filter(self, store, inst):
         a = store.create_job(inst, [("lpt", {})])
         store.create_job(inst, [("lpt", {})])
-        store.claim_job(a.id)
+        store.claim_job(a.id, 30.0)
         store.finish_job(a.id, [])
         assert [j.id for j in store.list_jobs(status="done")] == [a.id]
         assert len(store.list_jobs()) == 2
@@ -86,7 +87,7 @@ class TestPersistenceAcrossRestart:
         s1 = JobStore(path)
         queued = s1.create_job(inst, [("splittable", {})], priority=3)
         running = s1.create_job(inst, [("lpt", {})])
-        s1.claim_job(running.id)
+        s1.claim_job(running.id, 30.0)
         s1.close()
 
         s2 = JobStore(path)             # "the server restarted"
@@ -103,7 +104,7 @@ class TestPersistenceAcrossRestart:
         path = tmp_path / "jobs.db"
         s1 = JobStore(path)
         job = s1.create_job(inst, [("splittable", {})])
-        s1.claim_job(job.id)
+        s1.claim_job(job.id, 30.0)
         reports = [_report(inst),
                    _report(inst, algorithm="preemptive",
                            makespan=Fraction(10**12 + 1, 3 * 10**8),
@@ -148,15 +149,17 @@ class TestResultCache:
         assert store.cache_get(k) == newer
         assert store.cache_size() == 1
 
-    def test_adapter_speaks_run_batch_cache_protocol(self, store, inst):
-        cache = SqliteReportCache(store)
+    def test_store_cache_speaks_run_batch_protocol(self, store, inst):
+        cache = store.cache
         k = cache_key(inst, "splittable", {})
+        hits0 = CACHE_HITS.value(cache="service")
+        misses0 = CACHE_MISSES.value(cache="service")
         assert cache.get(k) is None
         cache.put(k, _report(inst))
         hit = cache.get(k)
         assert hit is not None and hit.makespan == Fraction(22, 7)
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
+        assert CACHE_HITS.value(cache="service") == hits0 + 1
+        assert CACHE_MISSES.value(cache="service") == misses0 + 1
         assert len(cache) == 1
         # digest landed in the index column via report.instance_digest
         assert store.cached_reports_for_digest(inst.digest()) == [hit]

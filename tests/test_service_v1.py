@@ -1,6 +1,6 @@
 """Tests for the versioned ``/v1`` HTTP surface: the error envelope,
-pagination, the synchronous solve endpoint, deprecated legacy aliases,
-and the remote backend's byte-identical request round-trip."""
+pagination, the synchronous solve endpoint, 404s outside ``/v1``, and
+the remote backend's byte-identical request round-trip."""
 
 import json
 import socket
@@ -12,6 +12,7 @@ import pytest
 from repro import Instance
 from repro.__main__ import main
 from repro.api import Session, SolveRequest, SolverQuery
+from repro.obs.trace import TRACE_HEADER
 from repro.service import SchedulingService, ServiceClient, ServiceError
 
 
@@ -234,51 +235,25 @@ class TestSyncSolve:
 
 
 # --------------------------------------------------------------------- #
-# legacy aliases
+# unversioned paths
 # --------------------------------------------------------------------- #
 
-class TestLegacyAliases:
-    def test_legacy_routes_work_and_announce_deprecation(self, service,
-                                                         client, inst):
+class TestUnversionedPaths:
+    def test_answer_404_envelope(self, service, client, inst):
         jid = client.submit(inst, ["lpt"])["id"]
         client.wait(jid)
-        status, body, headers = _raw(service, "GET", f"/jobs/{jid}")
-        assert status == 200 and body["status"] == "done"
-        assert headers.get("Deprecation") == "true"
-        assert f"/v1/jobs/{jid}" in headers.get("Link", "")
-        # /v1 responses carry no deprecation header
-        _, _, v1_headers = _raw(service, "GET", f"/v1/jobs/{jid}")
-        assert "Deprecation" not in v1_headers
-
-    def test_legacy_errors_keep_flat_shape(self, service):
-        status, body, _ = _raw(service, "GET", "/jobs/nope")
-        assert status == 404
-        assert body["error"] == "no job 'nope'"    # a string, not a dict
-
-    def test_legacy_jobs_listing_stays_permissive(self, service, client,
-                                                  inst):
-        client.wait(client.submit(inst, ["lpt"])["id"])
-        # the PR 2 contract: any integer limit, no pagination metadata
-        status, body, _ = _raw(service, "GET", "/jobs?limit=1000")
-        assert status == 200
-        assert set(body) == {"jobs"} and len(body["jobs"]) == 1
-        status, body, _ = _raw(service, "GET", "/jobs?status=zombie")
-        assert status == 200 and body["jobs"] == []
-        status, body, _ = _raw(service, "GET", "/jobs?limit=nope")
-        assert status == 400    # was a 400 before /v1 too
-
-    def test_legacy_client_against_legacy_routes(self, service, inst):
-        old = ServiceClient(service.url, api_prefix="")
-        (rep,) = old.wait(old.submit(inst, ["lpt"])["id"])
-        assert rep.ok
-        with pytest.raises(ServiceError) as err:
-            old.submit(inst, ["splitable"])
-        assert err.value.status == 400 and err.value.code == ""
-
-    def test_solve_is_v1_only(self, service, inst):
         req = SolveRequest(inst, algorithm="lpt")
-        status, body, _ = _raw(service, "POST", "/solve", req.to_dict())
-        assert status == 404
+        for method, path, body in (("GET", "/jobs", None),
+                                   ("GET", "/solvers", None),
+                                   ("GET", f"/jobs/{jid}", None),
+                                   ("POST", "/solve", req.to_dict())):
+            status, payload, headers = _raw(service, method, path, body)
+            assert status == 404, path
+            assert payload["error"]["code"] == "not_found"
+            assert payload["error"]["message"] == \
+                f"no route for {method} {path}"
+            assert payload["trace_id"] == headers[TRACE_HEADER]
+            assert "Deprecation" not in headers and "Link" not in headers
 
 
 # --------------------------------------------------------------------- #

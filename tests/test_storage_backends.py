@@ -2,7 +2,6 @@
 one contract, SQLite survives multi-thread and multi-connection writers,
 and store_url parsing builds the right backend."""
 
-import sqlite3
 import threading
 import time
 from fractions import Fraction
@@ -58,30 +57,30 @@ class TestBackendConformance:
         high = store.create_job(inst, [("lpt", {})], priority=9)
         time.sleep(0.002)
         low2 = store.create_job(inst, [("lpt", {})], priority=1)
-        order = [store.claim_next().id for _ in range(3)]
+        order = [store.claim_next(30.0).id for _ in range(3)]
         assert order == [high.id, low1.id, low2.id]
-        assert store.claim_next() is None
+        assert store.claim_next(30.0) is None
 
     def test_claim_next_skips_parked_retries(self, store, inst):
         job = store.create_job(inst, [("lpt", {})])
-        assert store.claim_job(job.id)
+        assert store.claim_job(job.id, 30.0)
         assert store.requeue_job(job.id, error="transient", delay=30.0)
-        assert store.claim_next() is None   # backoff not yet due
+        assert store.claim_next(30.0) is None   # backoff not yet due
         ready = store.create_job(inst, [("lpt", {})])
-        assert store.claim_next().id == ready.id
+        assert store.claim_next(30.0).id == ready.id
 
     def test_claim_records_worker(self, store, inst):
         store.create_job(inst, [("lpt", {})])
         store.create_job(inst, [("lpt", {})])
-        a = store.claim_next(worker="alpha")
-        b = store.claim_next(worker="beta")
+        a = store.claim_next(30.0, worker="alpha")
+        b = store.claim_next(30.0, worker="beta")
         assert store.get_job(a.id).claimed_by == "alpha"
         assert store.get_job(b.id).claimed_by == "beta"
         assert store.claims_by_worker() == {"alpha": 1, "beta": 1}
 
     def test_finish_refuses_stale_writer(self, store, inst):
         job = store.create_job(inst, [("lpt", {})])
-        assert store.claim_job(job.id)
+        assert store.claim_job(job.id, 30.0)
         # the lease is reclaimed under the first writer's feet
         assert store.requeue_job(job.id, error="lease expired")
         assert not store.finish_job(job.id, [_report(inst)])
@@ -89,7 +88,7 @@ class TestBackendConformance:
 
     def test_release_refunds_attempt(self, store, inst):
         job = store.create_job(inst, [("lpt", {})])
-        store.claim_job(job.id)
+        store.claim_job(job.id, 30.0)
         assert store.get_job(job.id).attempts == 1
         assert store.release_lease(job.id)
         back = store.get_job(job.id)
@@ -126,8 +125,6 @@ class TestBackendConformance:
         assert [r.algorithm for r in got] == ["splittable"]
 
     def test_cached_reports_keep_insertion_order(self, store, inst):
-        # keys hash to different shards; the digest view must merge them
-        # back in insertion order
         for k in range(6):
             store.cache_put(f"key-{k}", inst.digest(),
                             _report(inst, algorithm=f"algo-{k}"))
@@ -170,7 +167,7 @@ class TestSqliteConcurrency:
             try:
                 for _ in range(100):
                     job = store.create_job(inst, [("lpt", {})])
-                    store.claim_job(job.id)
+                    store.claim_job(job.id, 30.0)
                     store.finish_job(job.id, [_report(inst)])
             except BaseException as exc:   # noqa: BLE001 — collect to assert
                 errors.append(exc)
@@ -274,44 +271,3 @@ class TestOpenStore:
         assert b.count_jobs() == 0
         a.close()
         b.close()
-
-
-class TestLegacyMigration:
-    def test_monolithic_results_table_moves_into_shards(self, tmp_path,
-                                                        inst):
-        # a pre-shard store kept every cached report in one `results`
-        # table inside the job database; opening it now must copy the
-        # rows into the sharded cache and drop the old table
-        path = tmp_path / "old.db"
-        conn = sqlite3.connect(path)
-        conn.executescript(
-            "CREATE TABLE results (key TEXT PRIMARY KEY, "
-            "instance_digest TEXT NOT NULL, report TEXT NOT NULL, "
-            "stored_at REAL NOT NULL);")
-        import json
-        for k in range(5):
-            rep = _report(inst, algorithm=f"legacy-{k}")
-            conn.execute("INSERT INTO results VALUES (?,?,?,?)",
-                         (f"legacy-key-{k}", inst.digest(),
-                          json.dumps(rep.to_dict()), 1000.0 + k))
-        conn.commit()
-        conn.close()
-
-        store = JobStore(path)
-        assert store.cache_size() == 5
-        for k in range(5):
-            assert store.cache_get(f"legacy-key-{k}").algorithm \
-                == f"legacy-{k}"
-        got = store.cached_reports_for_digest(inst.digest())
-        assert [r.algorithm for r in got] == [f"legacy-{k}"
-                                              for k in range(5)]
-        with sqlite3.connect(path) as check:
-            tables = {r[0] for r in check.execute(
-                "SELECT name FROM sqlite_master WHERE type='table'")}
-        assert "results" not in tables
-        store.close()
-
-        # reopening again must not re-migrate or duplicate
-        again = JobStore(path)
-        assert again.cache_size() == 5
-        again.close()
