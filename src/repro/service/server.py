@@ -686,6 +686,7 @@ class SchedulingService:
         # health is a readout of the same registry /v1/metrics serves, so
         # the two endpoints can never disagree; counters are process-wide
         # and cumulative, gauges reflect the live queue
+        jobs = self._refresh_queue_depth()
         hits = CACHE_HITS.value(cache="service")
         misses = CACHE_MISSES.value(cache="service")
         lookups = hits + misses
@@ -697,18 +698,27 @@ class SchedulingService:
             "queue_depth": int(QUEUE_DEPTH.value()),
             "active_jobs": int(JOBS_ACTIVE.value()),
             "drainers": self.node.workers,
-            "jobs": self.store.counts(),
+            "jobs": jobs,
             "cache": {"entries": len(self.node.cache), "hits": int(hits),
                       "misses": int(misses),
                       "hit_rate": round(hits / lookups, 4) if lookups
                       else 0.0},
         }
 
+    def _refresh_queue_depth(self) -> dict[str, int]:
+        """Set the queue-depth gauge from the store's job counts, and
+        return them. Submits and claims push the gauge too, but a
+        submit's count can land after the claim that emptied the queue,
+        so every readout re-reads the store."""
+        counts = self.store.counts()
+        QUEUE_DEPTH.set(counts["queued"])
+        return counts
+
     def refresh_store_gauges(self) -> None:
-        """Project shared store state (job counts, per-worker claim
-        totals) into registry gauges — called on every metrics scrape so
-        the numbers cover external workers too."""
-        for status, count in self.store.counts().items():
+        """Project shared store state (queue depth, job counts,
+        per-worker claim totals) into registry gauges — called on every
+        metrics scrape so the numbers cover external workers too."""
+        for status, count in self._refresh_queue_depth().items():
             _STORE_JOBS.set(count, status=status)
         for worker, claims in self.store.claims_by_worker().items():
             _STORE_WORKER_CLAIMS.set(claims, worker=worker)

@@ -7,6 +7,7 @@ manual intervention — the invariant ``repro chaos`` checks at scale.
 """
 
 import sqlite3
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -248,7 +249,8 @@ class TestQueueLifecycle:
 
     def test_graceful_stop_releases_leases(self, store, inst):
         node = _make_node(store)
-        node._session.solve_batch = lambda req: time.sleep(60)
+        unblock = threading.Event()
+        node._session.solve_batch = lambda req: unblock.wait(60)
         node.start()
         try:
             job = store.create_job(inst, [("lpt", {})])
@@ -260,6 +262,7 @@ class TestQueueLifecycle:
             assert back.attempts == 0       # refunded, not burned
         finally:
             node.stop(wait=False)
+            unblock.set()   # the hung drainer ends with the test
 
     def test_watchdog_timeout_on_drainer_thread(self, store, inst):
         # engine_workers=0 solves inline on the drainer thread, where

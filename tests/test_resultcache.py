@@ -10,6 +10,7 @@ import pytest
 
 from repro import Instance
 from repro.engine import SolveReport
+from repro.obs.metrics import REGISTRY, parse_exposition
 from repro.resultcache import (CACHE_HITS, CACHE_MISSES, ServiceCache,
                                cache_key)
 from repro.service import JobStore
@@ -68,6 +69,25 @@ class TestServiceCache:
         assert len(cache) == 1
         # put files the report under its own instance digest
         assert cache.reports_for_digest(inst.digest()) == [_report(inst)]
+
+    def test_lookup_metrics(self, cache, inst):
+        # the exposition /v1/metrics serves (CI greps it, perfbench reads
+        # it) shows each get under cache="service"; put never counts
+        def exposed() -> tuple[float, float]:
+            _, samples = parse_exposition(REGISTRY.render())
+            label = frozenset({("cache", "service")})
+            return (samples.get(("repro_cache_hits_total", label), 0.0),
+                    samples.get(("repro_cache_misses_total", label), 0.0))
+
+        key = cache_key(inst, "lpt")
+        hits0, misses0 = exposed()
+        cache.get(key)
+        assert exposed() == (hits0, misses0 + 1)
+        cache.put(key, _report(inst, algorithm="lpt"))
+        assert exposed() == (hits0, misses0 + 1)
+        cache.get(key)
+        cache.get(key)
+        assert exposed() == (hits0 + 2, misses0 + 1)
 
     def test_peek_and_store_do_not_count(self, cache, inst):
         before = _lookups()

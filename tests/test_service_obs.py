@@ -9,6 +9,7 @@ and inside every resulting ``SolveReport.extra``.
 
 import io
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -20,6 +21,7 @@ from repro.obs.log import set_level, set_stream
 from repro.obs.metrics import REGISTRY, parse_exposition
 from repro.obs.trace import TRACE_HEADER, trace_context
 from repro.service import SchedulingService, ServiceClient
+from repro.service.worker import QUEUE_DEPTH
 
 
 @pytest.fixture
@@ -115,6 +117,23 @@ class TestMetricsEndpoint:
         assert hits >= health["cache"]["hits"]
         assert misses >= health["cache"]["misses"]
 
+    def test_queue_depth_is_read_from_the_store(self, tmp_path, inst):
+        # a submit's gauge push can land after the claim that emptied the
+        # queue; both readouts re-read the store instead of trusting it
+        svc = SchedulingService(tmp_path / "depth.db", port=0,
+                                drainers=0).start()     # accept-only
+        try:
+            with ServiceClient(svc.url) as client:
+                client.submit(inst, ["lpt"])
+                QUEUE_DEPTH.set(7)                      # a stale push
+                assert client.health()["queue_depth"] == 1
+                QUEUE_DEPTH.set(7)
+                _, _, body = _get(f"{svc.url}/v1/metrics")
+            _, samples = parse_exposition(body.decode())
+            assert samples[("repro_queue_depth", frozenset())] == 1
+        finally:
+            svc.shutdown()
+
 
 class TestTracePropagation:
     def test_client_trace_reaches_job_reports_and_logs(self, client, inst,
@@ -166,6 +185,31 @@ class TestTracePropagation:
         assert job["trace_id"]      # server-generated at the front door
         (rep,) = client.wait(job["id"])
         assert rep.extra.get("trace_id") == job["trace_id"]
+
+    def test_unversioned_paths_carry_the_trace(self, service):
+        # a path outside /v1 is an ordinary 404: traced like any other
+        # response, counted under the route label "other"
+        def other_404s() -> float:
+            _, samples = parse_exposition(REGISTRY.render())
+            return samples.get((
+                "repro_http_requests_total",
+                frozenset({("route", "other"), ("method", "GET"),
+                           ("status", "404")})), 0.0)
+
+        before = other_404s()
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(f"{service.url}/jobs", headers={TRACE_HEADER: "old-path"})
+        assert err.value.code == 404
+        assert err.value.headers[TRACE_HEADER] == "old-path"
+        assert "Deprecation" not in err.value.headers
+        envelope = json.loads(err.value.read())
+        assert envelope["trace_id"] == "old-path"
+        assert envelope["error"]["code"] == "not_found"
+        # the counter moves just after the response bytes go out
+        deadline = time.monotonic() + 5.0
+        while other_404s() == before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert other_404s() == before + 1
 
 
 class TestMetricsCLI:

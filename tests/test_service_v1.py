@@ -235,25 +235,66 @@ class TestSyncSolve:
 
 
 # --------------------------------------------------------------------- #
-# unversioned paths
+# the removed pre-/v1 aliases
 # --------------------------------------------------------------------- #
 
-class TestUnversionedPaths:
-    def test_answer_404_envelope(self, service, client, inst):
+def _assert_unrouted(status, payload, headers, method, path):
+    """The /v1 404 envelope an unversioned path answers with."""
+    assert status == 404, path
+    assert payload["error"] == {"code": "not_found",
+                                "message": f"no route for {method} {path}",
+                                "detail": None}
+    assert payload["trace_id"] == headers[TRACE_HEADER]
+    assert "Deprecation" not in headers and "Link" not in headers
+
+
+class TestLegacyAliases:
+    """The unversioned aliases (``/jobs``, ``/solvers``, ...) are gone:
+    every path outside ``/v1`` answers the ``/v1`` 404 envelope."""
+
+    def test_routes_answer_404_envelope(self, service, client, inst):
         jid = client.submit(inst, ["lpt"])["id"]
         client.wait(jid)
+        for path in ("/jobs", "/solvers", f"/jobs/{jid}",
+                     f"/jobs/{jid}/reports", "/healthz"):
+            _assert_unrouted(*_raw(service, "GET", path), "GET", path)
+        # the /v1 route serves the same job, without deprecation headers
+        status, body, headers = _raw(service, "GET", f"/v1/jobs/{jid}")
+        assert status == 200 and body["status"] == "done"
+        assert "Deprecation" not in headers and "Link" not in headers
+
+    def test_errors_use_the_envelope(self, service):
+        # no flat {"error": "<message>"} body is left for any path
+        _assert_unrouted(*_raw(service, "GET", "/jobs/nope"),
+                         "GET", "/jobs/nope")
+        status, body, _ = _raw(service, "GET", "/v1/jobs/nope")
+        assert status == 404 and body["error"]["code"] == "not_found"
+
+    def test_jobs_listing_is_gone(self, service, client, inst):
+        client.wait(client.submit(inst, ["lpt"])["id"])
+        # no query reaches a listing outside /v1, not even a malformed one
+        for query in ("limit=1000", "status=zombie", "limit=nope"):
+            _assert_unrouted(*_raw(service, "GET", f"/jobs?{query}"),
+                             "GET", "/jobs")
+        status, body, _ = _raw(service, "GET", "/v1/jobs?limit=nope")
+        assert status == 400 and body["error"]["code"] == "invalid_request"
+
+    def test_client_speaks_only_v1(self, service, inst):
+        with pytest.raises(TypeError):
+            ServiceClient(service.url, api_prefix="")
+        with ServiceClient(service.url) as client:
+            (rep,) = client.wait(client.submit(inst, ["lpt"])["id"])
+            assert rep.ok
+            with pytest.raises(ServiceError) as err:
+                client.submit(inst, ["splitable"])
+        assert err.value.status == 400 and err.value.code == "unknown_solver"
+
+    def test_solve_is_v1_only(self, service, inst):
         req = SolveRequest(inst, algorithm="lpt")
-        for method, path, body in (("GET", "/jobs", None),
-                                   ("GET", "/solvers", None),
-                                   ("GET", f"/jobs/{jid}", None),
-                                   ("POST", "/solve", req.to_dict())):
-            status, payload, headers = _raw(service, method, path, body)
-            assert status == 404, path
-            assert payload["error"]["code"] == "not_found"
-            assert payload["error"]["message"] == \
-                f"no route for {method} {path}"
-            assert payload["trace_id"] == headers[TRACE_HEADER]
-            assert "Deprecation" not in headers and "Link" not in headers
+        _assert_unrouted(*_raw(service, "POST", "/solve", req.to_dict()),
+                         "POST", "/solve")
+        status, body, _ = _raw(service, "POST", "/v1/solve", req.to_dict())
+        assert status == 200 and body["report"]["status"] == "ok"
 
 
 # --------------------------------------------------------------------- #
