@@ -8,7 +8,7 @@ same convention :mod:`repro.io` uses for schedules.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -80,7 +80,10 @@ class SolveReport:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        # the fields as they are, in declaration order: every value but
+        # the three replaced below is an immutable scalar, so the deep
+        # copy ``dataclasses.asdict`` makes would only cost time
+        d = {name: getattr(self, name) for name in _FIELD_NAMES}
         d["makespan"] = _num_str(self.makespan)
         d["guess"] = _num_str(self.guess)
         d["extra"] = dict(self.extra)
@@ -93,3 +96,6 @@ class SolveReport:
         d["guess"] = _num_parse(d.get("guess"))
         d["extra"] = dict(d.get("extra") or {})
         return SolveReport(**d)
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(SolveReport))

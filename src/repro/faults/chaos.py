@@ -134,21 +134,50 @@ def _spawn_worker(store_url: str, k: int, *, lease_seconds: float,
                   engine_workers: int) -> subprocess.Popen:
     """Launch one external ``repro worker`` process against the shared
     store. It inherits this process's environment, including the
-    ``REPRO_FAULTS`` plan already exported there."""
+    ``REPRO_FAULTS`` plan already exported there. It leads a session of
+    its own, so the worker and the pool processes it forks form one
+    process group, signalled as a whole by :func:`_signal_group`."""
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "worker", "--store", store_url,
          "--workers", "2", "--name", f"chaos-worker-{k}",
          "--engine-workers", str(engine_workers),
          "--lease-seconds", str(lease_seconds), "--quiet"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+
+
+def _signal_group(proc: subprocess.Popen, sig: int) -> None:
+    """Send ``sig`` to every process left in a spawned worker's group;
+    nothing when none is left."""
+    try:
+        os.killpg(proc.pid, sig)
+    except ProcessLookupError:
+        pass
+
+
+def _stop_workers(workers: list[subprocess.Popen]) -> None:
+    """End the external workers: SIGTERM each (it drains and releases
+    its leases), give it 15 s, then SIGKILL what is left of its group —
+    a worker that hung, or pool processes that outlived it."""
+    for proc in workers:
+        if proc.poll() is None:
+            proc.terminate()
+    for proc in workers:
+        try:
+            proc.wait(timeout=15.0)
+        except subprocess.TimeoutExpired:
+            pass
+        _signal_group(proc, signal.SIGKILL)
+        proc.wait()
 
 
 def _worker_killer(svc, workers: list[subprocess.Popen], jobs: int,
                    say) -> None:
     """The worker_kill leg of an external-workers campaign: once the
     fleet has made real progress, SIGKILL one worker process outright —
-    no drain, no lease release. The server's supervisor must reclaim its
-    orphaned leases and the surviving workers must finish the campaign."""
+    no drain, no lease release — together with the pool processes it
+    forked. The server's supervisor must reclaim its orphaned leases and
+    the surviving workers must finish the campaign."""
     deadline = time.monotonic() + 30.0
     threshold = max(1, jobs // 5)
     while time.monotonic() < deadline:
@@ -159,7 +188,7 @@ def _worker_killer(svc, workers: list[subprocess.Popen], jobs: int,
         time.sleep(0.2)
     victim = workers[0]
     if victim.poll() is None:
-        os.kill(victim.pid, signal.SIGKILL)
+        _signal_group(victim, signal.SIGKILL)
         say(f"worker_kill leg: SIGKILLed external worker pid {victim.pid}")
 
 
@@ -261,15 +290,7 @@ def run_chaos(seed: int = 7, jobs: int = 50,
         result.rebuilds = int(_POOL_REBUILDS.value() - rebuilds0)
         return result
     finally:
-        for proc in workers:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in workers:
-            try:
-                proc.wait(timeout=15.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        _stop_workers(workers)
         if svc is not None:
             # disable faults before shutdown so the drain cannot be
             # re-broken by store_commit faults on its way out

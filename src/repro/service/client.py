@@ -9,7 +9,9 @@ endpoint with a :class:`repro.api.SolveRequest`.
 Requests travel over a small pool of keep-alive connections, reused
 last-in first-out, with compact JSON bodies. :meth:`ServiceClient.wait`
 long-polls ``GET /v1/jobs/{id}?wait=<s>``, so the server reports a job's
-completion as it happens instead of the client guessing when to look.
+completion as it happens instead of the client guessing when to look;
+the terminal record carries the job's reports, so a wait costs one
+request per job.
 
 Used by the test suite, ``repro submit``, the examples and the remote
 backend of :class:`repro.api.Session`; any other HTTP client works just
@@ -266,7 +268,8 @@ class ServiceClient:
     def job(self, job_id: str, *, wait: float | None = None) -> dict:
         """``GET /v1/jobs/{id}``. With ``wait``, a long-poll: the record
         comes back once the job is terminal, or after ``wait`` seconds
-        (at most ``MAX_WAIT_SECONDS``)."""
+        (at most ``MAX_WAIT_SECONDS``). A terminal record carries the
+        job's reports, as dicts, under ``"reports"``."""
         if wait is None:
             return self._request("GET", f"/jobs/{job_id}")
         wait = min(wait, MAX_WAIT_SECONDS)
@@ -333,18 +336,22 @@ class ServiceClient:
     def wait(self, job_id: str, *, timeout: float = 60.0) -> list[SolveReport]:
         """Block until the job finishes; return its reports.
 
-        Long-polls :meth:`job` until the job is terminal, then fetches
-        :meth:`reports`. Raises :class:`TimeoutError` if the job is still
-        pending after ``timeout`` seconds, and :class:`ServiceError`
-        (status 500) if the job itself failed or was quarantined
-        server-side.
+        Long-polls :meth:`job` until the job is terminal and decodes the
+        reports the terminal record carries: one request per job. Only a
+        done record without reports (a server that predates them) costs
+        a second request, to :meth:`reports`. Raises
+        :class:`TimeoutError` if the job is still pending after
+        ``timeout`` seconds, and :class:`ServiceError` (status 500) if
+        the job itself failed or was quarantined server-side.
         """
         deadline = time.monotonic() + timeout
         while True:
             asked = time.monotonic()
             job = self.job(job_id, wait=max(0.0, deadline - asked))
             if job["status"] == "done":
-                return self.reports(job_id)
+                if "reports" not in job:
+                    return self.reports(job_id)
+                return [SolveReport.from_dict(d) for d in job["reports"]]
             if job["status"] in ("failed", "quarantined"):
                 raise self.job_failure(job)
             now = time.monotonic()

@@ -9,7 +9,8 @@ Every route lives under ``/v1``::
     GET  /v1/jobs             paginated jobs (?status=&limit=&offset=)
     GET  /v1/jobs/{id}        job status + timestamps (?wait=<s> holds
                               the request until the job is terminal,
-                              at most MAX_WAIT_SECONDS)
+                              at most MAX_WAIT_SECONDS); a terminal
+                              job's record carries its reports
     GET  /v1/jobs/{id}/reports the job's SolveReports (?format=ndjson
                               or Accept: application/x-ndjson streams
                               one report per line)
@@ -55,7 +56,13 @@ when the wait runs out (clamped to :data:`MAX_WAIT_SECONDS`), or at once
 when the service starts to shut down. The wait sleeps on the embedded
 drainers' completion signal and re-reads the store every few
 milliseconds, so it also sees jobs that external ``repro worker``
-processes finish.
+processes finish. A terminal record carries the job's reports under
+``"reports"`` — the list ``GET /v1/jobs/{id}/reports`` returns — so a
+client waiting on a job needs one request, not two.
+
+``POST /v1/jobs`` answers its ``201`` before it wakes a drainer: woken
+first, the drainer would start solving while the handler still holds
+the reply.
 
 Everything is ``http.server`` + ``json`` — no web framework, so the
 service runs anywhere the package does. The HTTP layer is deliberately
@@ -64,8 +71,9 @@ thin: every handler delegates to the store backend, the service's
 for synchronous solves, an in-process :class:`repro.api.Session`, which
 own all state.
 Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY``; bodies are
-compact JSON. ``shutdown()`` ends the keep-alive connections it
-accepted, so a client's pooled connection never outlives the service.
+compact JSON, and each response's headers and body leave in one send.
+``shutdown()`` ends the keep-alive connections it accepted, so a
+client's pooled connection never outlives the service.
 
 Observability: every request enters a trace context — the ``X-Trace-Id``
 header when the client sent a valid one, a fresh id otherwise. The id is
@@ -102,7 +110,8 @@ from ..obs.trace import (TRACE_HEADER, current_trace_id, is_valid_trace_id,
 from ..registry import (NoMatchingSolverError, UnknownSolverError,
                         get_solver, list_solvers, suggest_solvers)
 from .storage import StoreBackend, open_store
-from .store import DEFAULT_MAX_ATTEMPTS, JOB_STATUSES, JobRecord
+from .store import (DEFAULT_MAX_ATTEMPTS, JOB_STATUSES, TERMINAL_STATUSES,
+                    JobRecord)
 from .worker import JOBS_ACTIVE, QUEUE_DEPTH, WorkerNode
 
 __all__ = ["SchedulingService", "serve", "API_VERSION", "MAX_BODY_BYTES",
@@ -259,9 +268,11 @@ def _solver_dict(spec) -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # headers and body go out as two small segments; with Nagle on, the
-    # second waits for the client's delayed ACK (~40 ms per keep-alive
-    # request)
+    # a buffered writer: a response's headers and body leave in one send
+    # when _send_payload flushes
+    wbufsize = 1 << 16
+    # with Nagle on, a response larger than the buffer leaves in segments
+    # and the last waits for the client's delayed ACK (~40 ms)
     disable_nagle_algorithm = True
     server: "_HTTPServer"
 
@@ -309,6 +320,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(TRACE_HEADER, self._trace_id)
         self.end_headers()
         self.wfile.write(data)
+        self.wfile.flush()
 
     def _send_json(self, payload: Any, status: int = 200) -> None:
         if self._trace_id and isinstance(payload, dict) \
@@ -488,10 +500,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_job(self, raw: bytes) -> None:
         sub = _parse_submission(self._parse_body(raw))
-        job = self.server.service.submit(
+        service = self.server.service
+        job = service._enqueue(
             sub["inst"], sub["algorithms"], label=sub["label"],
             priority=sub["priority"], timeout=sub["timeout"])
-        self._send_json(job.to_dict(), 201)
+        try:
+            # reply first: a drainer woken before the 201 is flushed
+            # competes with this thread for the interpreter while the
+            # client waits
+            self._send_json(job.to_dict(), 201)
+        finally:
+            service.node.notify()
 
     def _post_solve(self, raw: bytes) -> None:
         body = self._parse_body(raw)
@@ -531,14 +550,20 @@ class _Handler(BaseHTTPRequestHandler):
                else service.store.get_job(job_id))
         if job is None:
             raise _ApiError(404, "not_found", f"no job {job_id!r}")
-        self._send_json(job.to_dict())
+        record = job.to_dict()
+        if job.status in TERMINAL_STATUSES:
+            # the reports ride along, so a waiting client needs no
+            # second request for them
+            record["reports"] = [
+                r.to_dict() for r in service.store.reports_for(job_id)]
+        self._send_json(record)
 
     def _get_reports(self, job_id: str, params: dict[str, str]) -> None:
         store = self.server.service.store
         job = store.get_job(job_id)
         if job is None:
             raise _ApiError(404, "not_found", f"no job {job_id!r}")
-        if job.status not in ("done", "failed", "quarantined"):
+        if job.status not in TERMINAL_STATUSES:
             raise _ApiError(
                 409, "not_ready",
                 f"job {job_id} is {job.status}; reports are available "
@@ -664,13 +689,25 @@ class SchedulingService:
                *, label: str = "", priority: int = 0,
                timeout: float | None = None) -> JobRecord:
         """Persist a job and wake a drainer. Safe from any thread."""
+        job = self._enqueue(inst, algorithms, label=label,
+                            priority=priority, timeout=timeout)
+        self.node.notify()
+        return job
+
+    def _enqueue(self, inst: Instance,
+                 algorithms: Iterable[tuple[str, Mapping[str, Any]]],
+                 *, label: str = "", priority: int = 0,
+                 timeout: float | None = None) -> JobRecord:
+        """Persist a job without waking a drainer: the caller wakes one
+        (``self.node.notify()``) once it has done what must come first —
+        ``POST /v1/jobs`` sends its reply. The queue is not counted here:
+        the ``repro_queue_depth`` gauge is set from the store on every
+        readout and supervisor tick."""
         job = self.store.create_job(
             inst, algorithms, label=label, priority=priority,
             timeout=self.default_timeout if timeout is None else timeout,
             trace_id=current_trace_id(), max_attempts=self.max_attempts)
         _JOBS_SUBMITTED.inc()
-        QUEUE_DEPTH.set(self.store.count_jobs("queued"))
-        self.node.notify()
         return job
 
     def solve_sync(self, request: SolveRequest) -> Any:
@@ -707,9 +744,8 @@ class SchedulingService:
 
     def _refresh_queue_depth(self) -> dict[str, int]:
         """Set the queue-depth gauge from the store's job counts, and
-        return them. Submits and claims push the gauge too, but a
-        submit's count can land after the claim that emptied the queue,
-        so every readout re-reads the store."""
+        return them. Submits and claims do not count the queue, so every
+        readout re-reads the store (the supervisor's tick does too)."""
         counts = self.store.counts()
         QUEUE_DEPTH.set(counts["queued"])
         return counts

@@ -19,9 +19,10 @@ reached through the ``cache_get``/``cache_put`` seam.
 Concurrency. The store is accessed from many threads (HTTP handlers +
 worker-node drainers) and, in fleet topologies, from many *processes*.
 File-backed stores open one connection per thread (WAL journal +
-``busy_timeout`` + ``BEGIN IMMEDIATE`` write transactions), so readers
-never block behind writers and concurrent writers queue on SQLite's own
-lock instead of racing; ``:memory:`` stores — where every connection
+``busy_timeout`` + ``BEGIN IMMEDIATE`` write transactions; a write of
+one statement runs in autocommit), so readers never block behind
+writers and concurrent writers queue on SQLite's own lock instead of
+racing; ``:memory:`` stores — where every connection
 would see a different empty database — keep the legacy single shared
 connection behind an RLock.
 
@@ -64,10 +65,11 @@ TERMINAL_STATUSES = ("done", "failed", "quarantined")
 #: Attempts a job gets before quarantine, unless overridden per job.
 DEFAULT_MAX_ATTEMPTS = 3
 
-#: How many eligible candidates ``claim_next`` races for before giving
-#: up the poll — under N competing nodes, losing the first few atomic
-#: claims is normal, losing eight in a row means the queue is drained.
-_CLAIM_CANDIDATES = 8
+#: The head of the queue: the most urgent claimable job, highest
+#: priority first, FIFO within a priority level.
+_HEAD = ("SELECT id FROM jobs WHERE status='queued' "
+         "AND (next_attempt_at IS NULL OR next_attempt_at<=?) "
+         "ORDER BY priority DESC, submitted_at, id LIMIT 1")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -130,7 +132,8 @@ class JobRecord:
     claimed_by: str | None = None
 
     def to_dict(self) -> dict:
-        """JSON-safe summary (what ``GET /jobs/{id}`` returns)."""
+        """JSON-safe summary: what ``GET /v1/jobs/{id}`` returns, which
+        adds a terminal job's ``reports``."""
         return {
             "id": self.id, "status": self.status, "priority": self.priority,
             "label": self.label, "instance_digest": self.instance_digest,
@@ -222,7 +225,9 @@ class JobStore:
         return conn
 
     @contextlib.contextmanager
-    def _read(self):
+    def _autocommit(self):
+        """The connection for statements that stand alone: reads, and
+        writes of a single statement, which SQLite commits on its own."""
         if self._serial:
             with self._lock:
                 yield self._shared
@@ -299,7 +304,10 @@ class JobStore:
                    timeout: float | None = None,
                    trace_id: str | None = None,
                    max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> JobRecord:
-        """Persist a new ``queued`` job and return its record."""
+        """Persist a new ``queued`` job and return its record.
+
+        The job is one autocommit ``INSERT``: no explicit transaction,
+        so a submit costs a single statement."""
         job_id = uuid.uuid4().hex[:16]
         algos = tuple((name, dict(kwargs or {})) for name, kwargs in algorithms)
         if not algos:
@@ -307,7 +315,7 @@ class JobStore:
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         now = time.time()
-        with self._write() as conn:
+        with self._autocommit() as conn:
             conn.execute(
                 "INSERT INTO jobs (id, status, priority, label, instance, "
                 "instance_digest, algorithms, timeout, submitted_at, "
@@ -324,7 +332,7 @@ class JobStore:
                          trace_id=trace_id, max_attempts=int(max_attempts))
 
     def get_job(self, job_id: str) -> JobRecord | None:
-        with self._read() as conn:
+        with self._autocommit() as conn:
             row = conn.execute(
                 "SELECT * FROM jobs WHERE id = ?", (job_id,)).fetchone()
         return _row_to_record(row) if row is not None else None
@@ -341,7 +349,7 @@ class JobStore:
             q += " WHERE status = ?"
             params = (status,)
         q += " ORDER BY submitted_at DESC, id LIMIT ? OFFSET ?"
-        with self._read() as conn:
+        with self._autocommit() as conn:
             rows = conn.execute(q, params + (int(limit),
                                              int(offset))).fetchall()
         return [_row_to_record(r) for r in rows]
@@ -353,7 +361,7 @@ class JobStore:
         if status is not None:
             q += " WHERE status = ?"
             params = (status,)
-        with self._read() as conn:
+        with self._autocommit() as conn:
             (n,) = conn.execute(q, params).fetchone()
         return n
 
@@ -370,21 +378,34 @@ class JobStore:
         now = time.time()
         claimed = False
         with self._write() as conn:
-            cur = conn.execute(
-                "UPDATE jobs SET status='running', started_at=?, "
-                "lease_expires_at=?, attempts=attempts+1, claimed_by=? "
-                "WHERE id=? AND status='queued' "
-                "AND (next_attempt_at IS NULL OR next_attempt_at<=?)",
-                (now, now + lease_seconds, worker or None, job_id, now))
-            if cur.rowcount != 1:
+            if self._claim(conn, job_id, now, lease_seconds, worker) is None:
                 raise _Rollback
-            if worker:
-                conn.execute(
-                    "INSERT INTO worker_claims (worker, claims) "
-                    "VALUES (?, 1) ON CONFLICT(worker) "
-                    "DO UPDATE SET claims=claims+1", (worker,))
             claimed = True
         return claimed
+
+    @staticmethod
+    def _claim(conn: sqlite3.Connection, job_id: str, now: float,
+               lease_seconds: float, worker: str) -> sqlite3.Row | None:
+        """Inside a write transaction: flip ``job_id`` to ``running`` if
+        it is still claimable, count the claim against ``worker``, and
+        return the post-claim row (``None`` when the job was not
+        claimable)."""
+        rows = conn.execute(
+            "UPDATE jobs SET status='running', started_at=?, "
+            "lease_expires_at=?, attempts=attempts+1, claimed_by=? "
+            "WHERE id=? AND status='queued' "
+            "AND (next_attempt_at IS NULL OR next_attempt_at<=?) "
+            "RETURNING *",
+            (now, now + lease_seconds, worker or None, job_id,
+             now)).fetchall()
+        if not rows:
+            return None
+        if worker:
+            conn.execute(
+                "INSERT INTO worker_claims (worker, claims) "
+                "VALUES (?, 1) ON CONFLICT(worker) "
+                "DO UPDATE SET claims=claims+1", (worker,))
+        return rows[0]
 
     def claim_next(self, lease_seconds: float,
                    *, worker: str = "") -> JobRecord | None:
@@ -393,26 +414,33 @@ class JobStore:
         post-claim record (attempt counted, lease stamped), or ``None``
         when nothing is currently claimable.
 
-        This is the one-call poll a :class:`WorkerNode` loops on: the
-        SELECT is a snapshot, so each candidate is confirmed with the
-        atomic conditional UPDATE of :meth:`claim_job`; racing nodes
-        simply fall through to the next candidate."""
+        This is the one-call poll a :class:`WorkerNode` loops on. A read
+        probe finds the head of the queue first, so an empty queue costs
+        one ``SELECT`` and never takes the write lock. The claim itself
+        is one write transaction: a conditional ``UPDATE ... RETURNING``
+        hands back the claimed row, and the per-worker claim count is
+        bumped in the same commit. When a racing node took the probed
+        head first, the transaction claims the head it sees under the
+        write lock instead, where the queue cannot move."""
         now = time.time()
-        with self._read() as conn:
-            rows = conn.execute(
-                "SELECT id FROM jobs WHERE status='queued' "
-                "AND (next_attempt_at IS NULL OR next_attempt_at<=?) "
-                "ORDER BY priority DESC, submitted_at, id LIMIT ?",
-                (now, _CLAIM_CANDIDATES)).fetchall()
-        for row in rows:
-            if self.claim_job(row["id"], lease_seconds, worker=worker):
-                return self.get_job(row["id"])
-        return None
+        with self._autocommit() as conn:
+            head = conn.execute(_HEAD, (now,)).fetchone()
+        if head is None:
+            return None
+        with self._write() as conn:
+            row = self._claim(conn, head["id"], now, lease_seconds, worker)
+            if row is None:
+                head = conn.execute(_HEAD, (now,)).fetchone()
+                if head is None:
+                    raise _Rollback
+                row = self._claim(conn, head["id"], now, lease_seconds,
+                                  worker)
+        return _row_to_record(row) if row is not None else None
 
     def claims_by_worker(self) -> dict[str, int]:
         """Cumulative claims per worker node, across every process that
         ever claimed from this store."""
-        with self._read() as conn:
+        with self._autocommit() as conn:
             rows = conn.execute(
                 "SELECT worker, claims FROM worker_claims").fetchall()
         return {row["worker"]: row["claims"] for row in rows}
@@ -532,7 +560,7 @@ class JobStore:
         return finished
 
     def reports_for(self, job_id: str) -> list[SolveReport]:
-        with self._read() as conn:
+        with self._autocommit() as conn:
             rows = conn.execute(
                 "SELECT report FROM reports WHERE job_id=? ORDER BY seq",
                 (job_id,)).fetchall()
@@ -563,7 +591,7 @@ class JobStore:
             conn.execute(
                 "UPDATE jobs SET next_attempt_at=NULL "
                 "WHERE status='queued'")
-        with self._read() as conn:
+        with self._autocommit() as conn:
             rows = conn.execute(
                 "SELECT * FROM jobs WHERE status='queued' "
                 "ORDER BY submitted_at").fetchall()
@@ -571,7 +599,7 @@ class JobStore:
 
     def counts(self) -> dict[str, int]:
         """Job counts per status (zero-filled for missing statuses)."""
-        with self._read() as conn:
+        with self._autocommit() as conn:
             rows = conn.execute(
                 "SELECT status, COUNT(*) AS n FROM jobs GROUP BY status"
             ).fetchall()

@@ -168,7 +168,15 @@ class WorkerNode:
         self.poll_interval = poll_interval
         self.cache = store.cache
         self._session = Session(workers=engine_workers, cache=self.cache)
-        self._cv = threading.Condition()
+        # one lock, two conditions: ``_cv`` wakes long-polls (a job was
+        # let go of) and the supervisor (stop); ``_wake`` wakes idle
+        # drainers, one per :meth:`notify`
+        lock = threading.RLock()
+        self._cv = threading.Condition(lock)
+        self._wake = threading.Condition(lock)
+        #: :meth:`notify` calls so far; a drainer that read it before an
+        #: empty claim sleeps only while it is unchanged
+        self._wakeups = 0
         self._threads: list[threading.Thread] = []
         self._supervisor: threading.Thread | None = None
         self._inflight: set[str] = set()
@@ -222,6 +230,7 @@ class WorkerNode:
         with self._cv:
             self._stopping = True
             self._cv.notify_all()
+            self._wake.notify_all()
         deadline = (time.monotonic() + grace) if grace is not None else None
         if wait:
             for t in self._threads:
@@ -243,10 +252,15 @@ class WorkerNode:
         return released
 
     def notify(self) -> None:
-        """Wake idle drainers now — a local submitter's shortcut past the
-        poll interval."""
-        with self._cv:
-            self._cv.notify_all()
+        """Wake one idle drainer now — a local submitter's shortcut past
+        the poll interval, called once per submitted job.
+
+        The call is counted, so it is not lost on a drainer that is
+        between an empty claim and its sleep: that drainer claims again
+        at once instead of sleeping out the poll interval."""
+        with self._wake:
+            self._wakeups += 1
+            self._wake.notify()
 
     def active(self) -> int:
         """Jobs this node is solving right now."""
@@ -303,20 +317,24 @@ class WorkerNode:
         return random.uniform(0.0, ceiling)
 
     def _drain_loop(self) -> None:
+        """Claim and run jobs until the node stops. A drainer that finds
+        the queue empty sleeps on its own wake-up: until a :meth:`notify`
+        it has not yet seen, the node stops, or the poll interval (jobs
+        submitted by other processes signal nothing here) runs out."""
         while True:
-            with self._cv:
+            with self._wake:
                 if self._stopping:
                     return
+                seen = self._wakeups
             job = self.store.claim_next(self.lease_seconds,
                                         worker=self.name)
             if job is None:
-                with self._cv:
-                    if self._stopping:
-                        return
-                    self._cv.wait(self.poll_interval)
+                with self._wake:
+                    self._wake.wait_for(
+                        lambda: self._wakeups != seen or self._stopping,
+                        timeout=self.poll_interval)
                 continue
             WORKER_CLAIMS.inc(worker=self.name)
-            QUEUE_DEPTH.set(self.store.count_jobs("queued"))
             # a drainer_loop fault fires *after* the claim and *before*
             # in-flight tracking: the thread dies holding a live lease,
             # and only supervision (lease reclaim + drainer respawn)

@@ -1,9 +1,17 @@
 """End-to-end chaos campaigns (small, test-sized) and their helpers."""
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine.runner import execute
-from repro.faults import injection
+from repro.faults import chaos, injection
 from repro.faults.chaos import (CHAOS_ALGOS, campaign_instances,
                                 canonical_report, run_chaos)
 
@@ -64,3 +72,72 @@ class TestCampaign:
         assert terminal == 6
         data = result.to_dict()
         assert data["ok"] is True and data["jobs"] == 6
+
+
+#: A stand-in for ``repro worker``: starts one child, writes the child's
+#: pid to the file named by its last argument, and sleeps.
+_TINY_WORKER = (
+    "import subprocess, sys, time\n"
+    "child = subprocess.Popen([sys.executable, '-c',"
+    " 'import time; time.sleep(60)'])\n"
+    "open(sys.argv[-1], 'w').write(str(child.pid))\n"
+    "time.sleep(60)\n")
+
+
+def _alive(pid: int) -> bool:
+    """Running, not a zombie (the state field of ``/proc/<pid>/stat``)."""
+    try:
+        stat = open(f"/proc/{pid}/stat").read()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc")
+class TestWorkerProcesses:
+    def test_no_process_a_worker_started_outlives_the_campaign(
+            self, tmp_path, monkeypatch):
+        # each spawned worker is a tiny process with one child, as a
+        # worker with a pool has: the kill leg and the cleanup must both
+        # take the children along
+        popen = subprocess.Popen
+        pidfiles = []
+
+        def tiny(argv, **kwargs):
+            pidfiles.append(tmp_path / f"child-{len(pidfiles)}")
+            return popen([sys.executable, "-c", _TINY_WORKER,
+                          str(pidfiles[-1])], **kwargs)
+
+        monkeypatch.setattr(chaos.subprocess, "Popen", tiny)
+        workers = [chaos._spawn_worker("sqlite:///unused.db", k,
+                                       lease_seconds=1.0, engine_workers=0)
+                   for k in range(2)]
+        pids = [w.pid for w in workers]
+        try:
+            end = time.monotonic() + 30.0
+            while not all(p.is_file() and p.read_text() for p in pidfiles):
+                assert time.monotonic() < end, "tiny workers did not start"
+                time.sleep(0.02)
+            children = [int(p.read_text()) for p in pidfiles]
+            pids += children
+            progress = SimpleNamespace(store=SimpleNamespace(
+                counts=lambda: {"done": 1}))
+            chaos._worker_killer(progress, workers, 1, lambda msg: None)
+            workers[0].wait(10.0)
+            end = time.monotonic() + 10.0
+            while _alive(children[0]) and time.monotonic() < end:
+                time.sleep(0.02)
+            assert not _alive(children[0]), "the killed worker's child"
+            assert _alive(children[1])
+            chaos._stop_workers(workers)
+            end = time.monotonic() + 10.0
+            while any(map(_alive, pids)) and time.monotonic() < end:
+                time.sleep(0.02)
+            assert [pid for pid in pids if _alive(pid)] == []
+        finally:
+            for pid in pids:
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+            for w in workers:
+                w.wait()

@@ -1,5 +1,6 @@
 """Tests for the execution engine: SolveReport, run_batch, caching."""
 
+import dataclasses
 import json
 import threading
 import time
@@ -11,7 +12,8 @@ import pytest
 from repro import Instance
 from repro.engine import (ReportCache, SolveReport, cache_key, execute,
                           run_batch)
-from repro.registry import UnknownSolverError
+from repro.engine.report import _num_str
+from repro.registry import UnknownSolverError, list_solvers
 from repro.workloads import uniform_instance
 
 
@@ -45,6 +47,24 @@ class TestSolveReport:
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError, match="unknown status"):
             SolveReport(algorithm="x", instance_digest="d", status="meh")
+
+    def test_to_dict_matches_the_asdict_reference(self, inst_a):
+        # to_dict builds its dict from the fields directly; the deep copy
+        # of dataclasses.asdict, then the three overwrites, is the
+        # reference it must match byte for byte
+        def reference(rep):
+            d = dataclasses.asdict(rep)
+            d["makespan"] = _num_str(rep.makespan)
+            d["guess"] = _num_str(rep.guess)
+            d["extra"] = dict(rep.extra)
+            return d
+
+        tiny = Instance((5, 3, 8, 6, 2), (0, 0, 1, 2, 2), 2, 2)
+        reports = [execute(inst, spec.name, label="x")
+                   for inst in (tiny, inst_a) for spec in list_solvers()]
+        assert {r.status for r in reports} >= {"ok"}
+        for rep in reports:
+            assert json.dumps(rep.to_dict()) == json.dumps(reference(rep))
 
 
 class TestExecute:

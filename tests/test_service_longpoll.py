@@ -16,7 +16,9 @@ import pytest
 
 from repro import Instance
 from repro.api import Session
+from repro.engine import execute
 from repro.faults import injection
+from repro.obs.metrics import parse_exposition
 from repro.service import (SchedulingService, ServiceClient, ServiceError,
                            WorkerNode, open_store)
 from repro.service import server as server_mod
@@ -311,3 +313,102 @@ class TestRetries:
         with ServiceClient(stub) as client, pytest.raises(TimeoutError):
             client.wait("j", timeout=0.5)
         assert len(_Stub.seen) <= 0.5 / ServiceClient._REASK_INTERVAL + 3
+
+
+def _requests(client, route):
+    """``repro_http_requests_total`` for one GET route, summed over
+    statuses. Scraped over the client's pooled connection, so every
+    earlier request on it has been counted."""
+    _, samples = parse_exposition(client.metrics())
+    return sum(v for (name, labels), v in samples.items()
+               if name == "repro_http_requests_total"
+               and ("route", route) in labels and ("method", "GET") in labels)
+
+
+class TestReportsOnTheLongPoll:
+    def test_wait_on_a_done_job_is_one_request(self, client, inst):
+        jid = client.submit(inst, ["lpt", "splittable"])["id"]
+        first = client.wait(jid)
+        before = (_requests(client, "/jobs/{id}"),
+                  _requests(client, "/jobs/{id}/reports"))
+        assert client.wait(jid) == first
+        after = (_requests(client, "/jobs/{id}"),
+                 _requests(client, "/jobs/{id}/reports"))
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
+
+    def test_terminal_records_carry_the_reports_route(self, idle_service,
+                                                      idle_client, inst):
+        store = idle_service.store
+        done, failed = (idle_client.submit(inst, ["lpt", "splittable"]),
+                        idle_client.submit(inst, ["lpt"]))
+        assert "reports" not in idle_client.job(done["id"])     # queued
+        for _ in range(2):
+            assert store.claim_next(30.0) is not None
+        assert "reports" not in idle_client.job(done["id"])     # running
+        store.finish_job(done["id"], [execute(inst, "lpt"),
+                                      execute(inst, "splittable")])
+        store.finish_job(failed["id"], [], error="ValueError: bad")
+        for jid, status in ((done["id"], "done"), (failed["id"], "failed")):
+            record = idle_client.job(jid, wait=5)
+            assert record["status"] == status
+            _, listed = _get(idle_service, f"/v1/jobs/{jid}/reports")
+            assert record["reports"] == listed["reports"]
+        assert len(idle_client.job(done["id"])["reports"]) == 2
+
+    def test_wait_fetches_reports_an_older_server_leaves_out(self, inst):
+        rep = execute(inst, "lpt")
+        _Older.routes = {
+            "/v1/jobs/j": {"id": "j", "status": "done"},
+            "/v1/jobs/j/reports": {"job_id": "j", "status": "done",
+                                   "reports": [rep.to_dict()]}}
+        _Older.seen = []
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Older)
+        httpd.daemon_threads = True
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        try:
+            with ServiceClient(
+                    f"http://127.0.0.1:{httpd.server_address[1]}") as client:
+                assert client.wait("j", timeout=5) == [rep]
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert _Older.seen == ["/v1/jobs/j", "/v1/jobs/j/reports"]
+
+
+class _Older(BaseHTTPRequestHandler):
+    """A server whose terminal records have no ``reports``: answers each
+    path in ``routes`` (query string ignored) with its JSON body."""
+
+    protocol_version = "HTTP/1.1"
+    routes: dict = {}
+    seen: list = []
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def do_GET(self) -> None:     # noqa: N802 — http.server API
+        path = self.path.partition("?")[0]
+        type(self).seen.append(path)
+        body = json.dumps(self.routes[path]).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+class TestReplyBeforeWake:
+    def test_201_is_flushed_before_a_drainer_is_woken(self, service,
+                                                      client, inst,
+                                                      monkeypatch):
+        # the wake-up blocks until the client holds its 201; woken
+        # before the reply, it times out and records False
+        replied = threading.Event()
+        woke = []
+        notify = service.node.notify
+        monkeypatch.setattr(service.node, "notify", lambda: (
+            woke.append(replied.wait(2.0)), notify()))
+        job = client.submit(inst, ["lpt"])
+        replied.set()
+        assert client.wait(job["id"])
+        assert woke == [True]

@@ -9,6 +9,7 @@ and inside every resulting ``SolveReport.extra``.
 
 import io
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -20,7 +21,7 @@ from repro.__main__ import main
 from repro.obs.log import set_level, set_stream
 from repro.obs.metrics import REGISTRY, parse_exposition
 from repro.obs.trace import TRACE_HEADER, trace_context
-from repro.service import SchedulingService, ServiceClient
+from repro.service import JobStore, SchedulingService, ServiceClient
 from repro.service.worker import QUEUE_DEPTH
 
 
@@ -133,6 +134,38 @@ class TestMetricsEndpoint:
             assert samples[("repro_queue_depth", frozenset())] == 1
         finally:
             svc.shutdown()
+
+
+    def test_submits_and_claims_do_not_count_the_queue(self, tmp_path,
+                                                       inst):
+        # every connection the store opens logs its statements with the
+        # thread that ran them; only readouts and the supervisor count
+        store = JobStore(tmp_path / "count.db")
+        seen: list[tuple[str, str]] = []
+        connect = store._connect
+
+        def traced():
+            conn = connect()
+            conn.set_trace_callback(lambda sql: seen.append(
+                (threading.current_thread().name, sql)))
+            return conn
+
+        store._connect = traced
+        svc = SchedulingService(store, port=0, drainers=1,
+                                lease_seconds=300.0).start()
+        try:
+            with ServiceClient(svc.url) as client:
+                for _ in range(3):
+                    client.wait(client.submit(inst, ["lpt"])["id"])
+        finally:
+            svc.shutdown()
+            store.close()
+        threads = {name for name, _ in seen}
+        assert any(name.startswith("repro-drainer") for name in threads)
+        counted = [(name, sql) for name, sql in seen
+                   if "COUNT(" in sql.upper()
+                   and not name.startswith("repro-supervisor")]
+        assert counted == []
 
 
 class TestTracePropagation:

@@ -193,3 +193,69 @@ class TestSchemaMigration:
                                trace_id="abc123")
         assert store.get_job(job.id).trace_id == "abc123"
         assert store.get_job(job.id).to_dict()["trace_id"] == "abc123"
+
+
+class TestStatementsPerStep:
+    """What each store step costs in SQL, read off the calling thread's
+    connection."""
+
+    @pytest.fixture
+    def statements(self, store):
+        seen: list[str] = []
+        conn = store._connection()
+        conn.set_trace_callback(seen.append)
+        yield seen
+        conn.set_trace_callback(None)
+
+    @staticmethod
+    def _verbs(statements):
+        return [s.split()[0].upper() for s in statements]
+
+    def test_create_job_is_one_insert(self, store, inst, statements):
+        store.create_job(inst, [("lpt", {})])
+        assert self._verbs(statements) == ["INSERT"]
+
+    def test_empty_claim_takes_no_write_lock(self, store, statements):
+        assert store.claim_next(30.0, worker="w") is None
+        assert self._verbs(statements) == ["SELECT"]
+
+    def test_claim_is_a_probe_and_one_write_transaction(self, store, inst,
+                                                        statements):
+        job = store.create_job(inst, [("lpt", {})])
+        statements.clear()
+        claimed = store.claim_next(30.0, worker="w")
+        assert claimed.id == job.id and claimed.status == "running"
+        assert claimed.attempts == 1 and claimed.claimed_by == "w"
+        assert claimed.lease_expires_at > claimed.started_at
+        assert self._verbs(statements) == ["SELECT", "BEGIN", "UPDATE",
+                                           "INSERT", "COMMIT"]
+        assert "RETURNING" in statements[2].upper()
+        assert store.claims_by_worker() == {"w": 1}
+
+    def test_claim_after_losing_the_probed_head(self, store, inst):
+        # a racing node claims the probed head between the probe and the
+        # write transaction: the claim takes the next head instead
+        first = store.create_job(inst, [("lpt", {})], priority=1)
+        second = store.create_job(inst, [("lpt", {})])
+        conn = store._connection()
+        real = conn.execute
+
+        class Racing:
+            def execute(self, sql, *args):
+                cur = real(sql, *args)
+                if sql.startswith("SELECT id FROM jobs") and not taken:
+                    taken.append(store2.claim_job(first.id, 30.0,
+                                                  worker="other"))
+                return cur
+
+        taken: list = []
+        store2 = JobStore(store.path)
+        try:
+            store._tls.conn = Racing()
+            claimed = store.claim_next(30.0, worker="w")
+        finally:
+            store._tls.conn = conn
+            store2.close()
+        assert taken == [True]
+        assert claimed.id == second.id
+        assert store.claims_by_worker() == {"other": 1, "w": 1}

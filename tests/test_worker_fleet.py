@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -39,6 +40,88 @@ def _node(store, name, **over):
                 retry_backoff_cap=0.05, poll_interval=0.02)
     opts.update(over)
     return WorkerNode(store, **opts)
+
+
+class TestWakeUps:
+    def test_submit_between_an_empty_claim_and_the_sleep(self, inst,
+                                                          monkeypatch):
+        # the job lands after the drainer found the queue empty and
+        # before it sleeps: its wake-up must not be lost, or the job
+        # waits out the whole poll interval
+        store = MemoryStore()
+        node = WorkerNode(store, workers=1, poll_interval=5.0)
+        claim_next = store.claim_next
+        submitted = []
+
+        def claim_then_submit(*args, **kwargs):
+            job = claim_next(*args, **kwargs)
+            if job is None and not submitted:
+                submitted.append(store.create_job(inst, [("lpt", {})]))
+                node.notify()
+            return job
+
+        monkeypatch.setattr(store, "claim_next", claim_then_submit)
+        node.start()
+        try:
+            end = time.monotonic() + 4.0
+            while time.monotonic() < end and not (
+                    submitted and store.get_job(submitted[0].id).status
+                    == "done"):
+                time.sleep(0.02)
+        finally:
+            node.stop()
+            store.close()
+        assert submitted and store.get_job(submitted[0].id).status == "done"
+
+    def test_completions_do_not_wake_idle_drainers(self, inst):
+        # with both drainers asleep, a submit wakes one: it claims the
+        # job, then finds the queue empty. The job's completion wakes
+        # no drainer, so the other one never claims
+        store = MemoryStore()
+        claims = []
+        claim_next = store.claim_next
+        store.claim_next = lambda *a, **kw: claims.append(1) or claim_next(
+            *a, **kw)
+        node = WorkerNode(store, workers=2, poll_interval=60.0).start()
+        try:
+            time.sleep(0.2)
+            assert len(claims) == 2         # each drainer's first look
+            for k in range(3):
+                store.create_job(inst, [("lpt", {})])
+                node.notify()
+                _wait_done(store, k + 1, deadline=10.0)
+                time.sleep(0.2)
+                assert len(claims) == 2 + 2 * (k + 1)
+        finally:
+            node.stop()
+            store.close()
+
+    def test_no_wake_up_lost_under_contention(self, inst):
+        # more drainers than cores, three submitters and a short switch
+        # interval: any lost wake-up strands a job for the 30 s poll
+        store = MemoryStore()
+        node = WorkerNode(store, workers=4, poll_interval=30.0)
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            node.start()
+
+            def submit():
+                for _ in range(25):
+                    store.create_job(inst, [("lpt", {})])
+                    node.notify()
+
+            senders = [threading.Thread(target=submit) for _ in range(3)]
+            for t in senders:
+                t.start()
+            for t in senders:
+                t.join(10.0)
+                assert not t.is_alive()
+            _wait_done(store, 75, deadline=15.0)
+        finally:
+            sys.setswitchinterval(prev)
+            node.stop()
+            store.close()
 
 
 class TestMultiNode:
