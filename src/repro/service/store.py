@@ -174,6 +174,12 @@ class JobStore:
     """Thread- and process-safe persistent job + report + cache store."""
 
     def __init__(self, path: str | os.PathLike) -> None:
+        if sqlite3.sqlite_version_info < (3, 35):
+            # claim_next needs UPDATE ... RETURNING; failing here beats a
+            # drainer dying on every claim
+            raise RuntimeError(
+                f"the job store needs SQLite >= 3.35; this Python links "
+                f"SQLite {sqlite3.sqlite_version}")
         self.path = str(path)
         self._serial = self.path == ":memory:" \
             or self.path.startswith("file::memory:")

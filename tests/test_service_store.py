@@ -8,6 +8,7 @@ from repro import Instance
 from repro.engine import SolveReport, cache_key
 from repro.resultcache import CACHE_HITS, CACHE_MISSES
 from repro.service import JobStore
+from repro.service import store as store_mod
 
 
 @pytest.fixture
@@ -193,6 +194,12 @@ class TestSchemaMigration:
                                trace_id="abc123")
         assert store.get_job(job.id).trace_id == "abc123"
         assert store.get_job(job.id).to_dict()["trace_id"] == "abc123"
+
+
+def test_old_sqlite_is_refused_at_open(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_mod.sqlite3, "sqlite_version_info", (3, 34, 1))
+    with pytest.raises(RuntimeError, match="SQLite >= 3.35"):
+        JobStore(tmp_path / "old.db")
 
 
 class TestStatementsPerStep:
