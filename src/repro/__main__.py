@@ -306,7 +306,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               embedded_workers=not args.no_embedded_workers,
               quiet=args.quiet,
               log_level=args.log_level)
-    except ValueError as exc:        # bad --store URL
+    except ValueError as exc:        # bad or in-memory --store URL
         raise SystemExit(f"error: {exc}")
     return 0
 
@@ -322,7 +322,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
                    poll_interval=args.poll_interval,
                    drain_grace=args.drain_grace,
                    quiet=args.quiet, log_level=args.log_level)
-    except ValueError as exc:        # bad --store URL
+    except ValueError as exc:        # bad or in-memory --store URL
         raise SystemExit(f"error: {exc}")
     return 0
 
@@ -679,9 +679,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="SQLite file for jobs/reports/result cache "
                          "(jobs survive restarts)")
     pe.add_argument("--store", default=None,
-                    help="storage backend URL: sqlite:///jobs.db "
-                         "(3 slashes = relative path, 4 = absolute) or "
-                         "memory:// (volatile, tests); overrides --db")
+                    help="store URL: sqlite:///jobs.db (3 slashes = "
+                         "relative path, 4 = absolute), or memory:// = "
+                         "sqlite:///:memory: (volatile, this process "
+                         "only; refused with --no-embedded-workers); "
+                         "overrides --db")
     pe.add_argument("--drainers", type=int, default=2,
                     help="queue worker threads consuming jobs")
     pe.add_argument("--no-embedded-workers", action="store_true",
@@ -715,9 +717,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "store (pair with `repro serve "
                        "--no-embedded-workers`)")
     pw.add_argument("--store", required=True,
-                    help="storage backend URL shared with the server, "
-                         "e.g. sqlite:///jobs.db (memory:// cannot be "
-                         "shared across processes)")
+                    help="store URL shared with the server, e.g. "
+                         "sqlite:///jobs.db (memory:// and "
+                         "sqlite:///:memory: live in one process and are "
+                         "refused)")
     pw.add_argument("--workers", type=int, default=2,
                     help="drainer threads in this node")
     pw.add_argument("--engine-workers", type=int, default=0,
@@ -786,9 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--deadline", type=float, default=180.0,
                     help="seconds before undrained jobs count as stuck")
     ph.add_argument("--store", default=None,
-                    help="storage backend URL for the private service "
-                         "(default: a temporary sqlite file; memory:// "
-                         "needs --external-workers 0)")
+                    help="store URL for the private service (default: "
+                         "a temporary sqlite file; memory:// = "
+                         "sqlite:///:memory: needs --external-workers 0)")
     ph.add_argument("--external-workers", type=int, default=0,
                     help="drain through this many separate `repro "
                          "worker` processes instead of embedded "

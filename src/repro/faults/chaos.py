@@ -206,13 +206,15 @@ def run_chaos(seed: int = 7, jobs: int = 50,
     Local mode (no ``url``) boots a private :class:`SchedulingService`
     on an ephemeral port with the fault plan in the environment — so
     forked pool workers inherit it — and reads final job states straight
-    from its store. ``store_url`` picks the storage backend (default: a
-    temporary SQLite file). ``external_workers > 0`` runs the server
-    accept-only and drains through that many separate ``repro worker``
-    processes sharing the store; with at least two of them the campaign
-    adds a *worker_kill leg* — one worker process is SIGKILLed once the
-    fleet has made progress, and the verdict must still come out clean
-    (the server reclaims its leases, the survivors finish the work).
+    from its store. ``store_url`` picks the store (default: a temporary
+    SQLite file). ``external_workers > 0`` runs the server accept-only
+    and drains through that many separate ``repro worker`` processes
+    sharing the store (an in-memory ``store_url`` then raises
+    :class:`ValueError` before any process is spawned); with at least two
+    of them the campaign adds a *worker_kill leg* — one worker process is
+    SIGKILLed once the fleet has made progress, and the verdict must
+    still come out clean (the server reclaims its leases, the survivors
+    finish the work).
     Remote mode submits against ``url`` and trusts the server's own
     fault plan (set ``REPRO_FAULTS`` in its environment).
     """
@@ -232,12 +234,6 @@ def run_chaos(seed: int = 7, jobs: int = 50,
     from ..service.server import SchedulingService
     from ..service.worker import JOB_RETRIES, LEASE_RECLAIMS
     from ..engine.pool import _POOL_REBUILDS
-
-    if external_workers and store_url is not None \
-            and store_url.startswith("memory"):
-        raise ValueError(
-            "memory:// stores live in one process and cannot be drained "
-            "by external workers; use a sqlite:// store_url")
 
     saved = {k: os.environ.get(k)
              for k in ("REPRO_FAULTS", "REPRO_FAULTS_SEED")}

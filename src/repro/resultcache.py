@@ -205,15 +205,11 @@ class ServiceCache:
     database, ``<db>.cache`` beside a file-backed job store, or
     ``:memory:``.
 
-    Speaks both dialects of the cache seam:
-
-    * the engine protocol ``run_batch(cache=...)`` expects —
-      :meth:`get` / :meth:`put` / ``len()`` — whose lookups count in the
-      process-wide ``repro_cache_*`` counters under ``cache="service"``;
-    * the raw store seam — :meth:`peek` / :meth:`store` /
-      :meth:`reports_for_digest` / :meth:`size` — behind
-      ``cache_get`` / ``cache_put`` and the ``/v1/results`` endpoint,
-      which must not inflate the hit/miss statistics.
+    It speaks the protocol ``run_batch(cache=...)`` expects — :meth:`get`
+    / :meth:`put` / ``len()`` — and every :meth:`get` counts in the
+    process-wide ``repro_cache_*`` counters under ``cache="service"``.
+    :meth:`reports_for_digest` backs the ``/v1/results`` endpoint, a
+    view that counts no hit or miss.
 
     One connection serves every thread behind a lock; a file-backed
     cache runs in WAL mode, so the processes of a fleet can share it.
@@ -229,51 +225,17 @@ class ServiceCache:
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
 
-    # -- raw store seam (never counts hits/misses) --------------------- #
-
-    def peek(self, key: str) -> SolveReport | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT report FROM results WHERE key=?", (key,)).fetchone()
-        return _decode(row[0]) if row is not None else None
-
-    def store(self, key: str, digest: str, report: SolveReport) -> None:
-        # REPLACE deletes the old row, so an overwritten key moves to the
-        # end of the rowid order the digest view reads
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results "
-                "(key, instance_digest, report) VALUES (?, ?, ?)",
-                (key, digest, json.dumps(report.to_dict())))
-            self._conn.commit()
-
-    def reports_for_digest(self, digest: str) -> list[SolveReport]:
-        """Every cached report for one instance content hash, in
-        insertion order (corrupt rows skipped)."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT report FROM results WHERE instance_digest=? "
-                "ORDER BY rowid", (digest,)).fetchall()
-        reports = (_decode(text) for (text,) in rows)
-        return [rep for rep in reports if rep is not None]
-
-    def size(self) -> int:
+    def __len__(self) -> int:
         with self._lock:
             (n,) = self._conn.execute(
                 "SELECT COUNT(*) FROM results").fetchone()
         return n
 
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    # -- counting engine protocol -------------------------------------- #
-
-    def __len__(self) -> int:
-        return self.size()
-
     def get(self, key: str) -> SolveReport | None:
-        rep = self.peek(key)
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT report FROM results WHERE key=?", (key,)).fetchone()
+        rep = _decode(row[0]) if row is not None else None
         if rep is None:
             CACHE_MISSES.inc(cache="service")
         else:
@@ -281,5 +243,26 @@ class ServiceCache:
         return rep
 
     def put(self, key: str, report: SolveReport) -> None:
-        self.store(key, report.instance_digest, report)
+        """File ``report`` under ``key`` and its own instance digest."""
+        # REPLACE deletes the old row, so an overwritten key moves to the
+        # end of the rowid order the digest view reads
+        with self._lock:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO results "
+                "(key, instance_digest, report) VALUES (?, ?, ?)",
+                (key, report.instance_digest, json.dumps(report.to_dict())))
+            self._conn.commit()
 
+    def reports_for_digest(self, digest: str) -> list[SolveReport]:
+        """Every cached report for one instance content hash, in
+        insertion order (corrupt rows skipped). Counts no hit or miss."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT report FROM results WHERE instance_digest=? "
+                "ORDER BY rowid", (digest,)).fetchall()
+        reports = (_decode(text) for (text,) in rows)
+        return [rep for rep in reports if rep is not None]
+
+    def close(self) -> None:
+        with self._lock:
+            self._conn.close()

@@ -6,17 +6,19 @@ server: clients submit class-constrained scheduling work over HTTP,
 wait on it, and share solved results through a digest-indexed report
 cache that survives restarts.
 
-The service is split into three swappable layers:
+The service is split into three layers:
 
-* **Storage** — :class:`~repro.service.storage.StoreBackend` is the
-  protocol every backend speaks; :func:`~repro.service.storage.open_store`
-  builds one from a ``store_url`` (``sqlite:///jobs.db`` — WAL, safe
-  across threads *and* processes — or ``memory://`` for tests/chaos).
-  :class:`~repro.service.store.JobStore` is the SQLite reference
-  implementation; results live in one more SQLite file beside it,
-  ``<db>.cache`` (:class:`~repro.resultcache.ServiceCache`).
-* **Workers** — :class:`~repro.service.worker.WorkerNode` drains any
-  backend via its atomic ``claim_next``, holding a lease on every job
+* **Storage** — :class:`~repro.service.store.JobStore` is the one
+  store: SQLite, with its lease protocol and, as ``store.cache``, a
+  result cache in one more SQLite file beside it, ``<db>.cache``
+  (:class:`~repro.resultcache.ServiceCache`).
+  :class:`~repro.service.storage.StoreBackend` is the protocol the other
+  layers program against; :func:`~repro.service.storage.open_store`
+  builds a store from a ``store_url``: ``sqlite:///jobs.db`` (WAL, safe
+  across threads *and* processes) or ``memory://`` /
+  ``sqlite:///:memory:`` (in memory, private to one process).
+* **Workers** — :class:`~repro.service.worker.WorkerNode` drains a
+  store via its atomic ``claim_next``, holding a lease on every job
   it runs; ``repro worker --store URL`` runs one as a standalone
   process, and N of them share a store with no double execution.
 * **HTTP** — :class:`~repro.service.server.SchedulingService` / ``serve``
@@ -29,11 +31,11 @@ The service is split into three swappable layers:
 
 from .client import ServiceClient, ServiceError
 from .server import SchedulingService, serve
-from .storage import MemoryStore, StoreBackend, open_store
+from .storage import StoreBackend, open_store
 from .store import JOB_STATUSES, TERMINAL_STATUSES, JobRecord, JobStore
 from .worker import WorkerNode, run_worker
 
-__all__ = ["JobStore", "JobRecord", "StoreBackend", "MemoryStore",
-           "open_store", "WorkerNode", "run_worker",
+__all__ = ["JobStore", "JobRecord", "StoreBackend", "open_store",
+           "WorkerNode", "run_worker",
            "SchedulingService", "serve", "ServiceClient", "ServiceError",
            "JOB_STATUSES", "TERMINAL_STATUSES"]

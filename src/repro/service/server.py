@@ -109,10 +109,11 @@ from ..obs.trace import (TRACE_HEADER, current_trace_id, is_valid_trace_id,
                          new_trace_id, reset_trace_id, set_trace_id)
 from ..registry import (NoMatchingSolverError, UnknownSolverError,
                         get_solver, list_solvers, suggest_solvers)
-from .storage import StoreBackend, open_store
+from .storage import StoreBackend, open_store, require_shared
 from .store import (DEFAULT_MAX_ATTEMPTS, JOB_STATUSES, TERMINAL_STATUSES,
                     JobRecord)
-from .worker import JOBS_ACTIVE, QUEUE_DEPTH, WorkerNode
+from .worker import (JOBS_ACTIVE, QUEUE_DEPTH, WorkerNode,
+                     wait_for_stop_signal)
 
 __all__ = ["SchedulingService", "serve", "API_VERSION", "MAX_BODY_BYTES",
            "MAX_WAIT_SECONDS", "SYNC_SOLVE_MAX_JOBS"]
@@ -474,7 +475,7 @@ class _Handler(BaseHTTPRequestHandler):
         if parts[0] == "jobs" and len(parts) == 3 and parts[2] == "reports":
             return self._get_reports(parts[1], params)
         if parts[0] == "results" and len(parts) == 2:
-            reps = self.server.service.store.cached_reports_for_digest(
+            reps = self.server.service.store.cache.reports_for_digest(
                 parts[1])
             return self._send_json(
                 {"instance_digest": parts[1],
@@ -621,11 +622,11 @@ class _HTTPServer(ThreadingHTTPServer):
 
 
 class SchedulingService:
-    """The composed service: store backend + worker node + HTTP server.
+    """The composed service: store + worker node + HTTP server.
 
-    ``db_path`` names the storage backend: a filesystem path (legacy), a
-    ``store_url`` (``sqlite:///jobs.db``, ``memory://``), or an already
-    open :class:`~repro.service.storage.StoreBackend` — the service then
+    ``db_path`` names the store: a SQLite file path, a ``store_url``
+    (``sqlite:///jobs.db``, ``memory://``), or an already open
+    :class:`~repro.service.storage.StoreBackend` — the service then
     shares it and leaves closing to its owner. ``port=0`` binds an
     ephemeral port (tests); read ``self.port`` after construction.
     ``start()`` recovers persisted jobs and begins serving in background
@@ -637,7 +638,9 @@ class SchedulingService:
     positive number) on the job it runs. ``embedded_workers=False`` runs
     the front door alone: jobs are accepted, persisted and supervised
     (expired leases still get reclaimed) but executed only by external
-    ``repro worker`` processes pointed at the same store.
+    ``repro worker`` processes pointed at the same store — so a
+    ``store_url`` naming an in-memory store, which no such process can
+    reach, raises :class:`ValueError` there.
     """
 
     #: Ceiling for synchronous ``POST /v1/solve`` runs submitted without
@@ -659,6 +662,8 @@ class SchedulingService:
         else:
             self.store = open_store(str(db_path))
             self._owns_store = True
+            if not embedded_workers:
+                require_shared(self.store)
         self.node = WorkerNode(self.store,
                                workers=drainers if embedded_workers else 0,
                                engine_workers=engine_workers,
@@ -683,16 +688,6 @@ class SchedulingService:
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    def submit(self, inst: Instance,
-               algorithms: Iterable[tuple[str, Mapping[str, Any]]],
-               *, label: str = "", priority: int = 0,
-               timeout: float | None = None) -> JobRecord:
-        """Persist a job and wake a drainer. Safe from any thread."""
-        job = self._enqueue(inst, algorithms, label=label,
-                            priority=priority, timeout=timeout)
-        self.node.notify()
-        return job
 
     def _enqueue(self, inst: Instance,
                  algorithms: Iterable[tuple[str, Mapping[str, Any]]],
@@ -813,8 +808,6 @@ def serve(db_path: str, *, host: str = "127.0.0.1", port: int = 8080,
     closes (no new submissions), in-flight jobs get up to
     ``drain_grace`` seconds to finish, leases that cannot are released
     back to the store, and the process exits 0."""
-    import signal as _signal
-
     from ..obs.log import set_level
     set_level(log_level or ("warning" if quiet else "info"))
     svc = SchedulingService(db_path, host=host, port=port, drainers=drainers,
@@ -828,27 +821,9 @@ def serve(db_path: str, *, host: str = "127.0.0.1", port: int = 8080,
     print(f"repro service listening on {svc.url}/{API_VERSION}  "
           f"(store={svc.store.url}, workers={workers}, "
           f"recovered {svc.recovered} job(s))", flush=True)
-    stop = threading.Event()
-    previous = {}
     try:
-        for sig in (_signal.SIGTERM, _signal.SIGINT):
-            previous[sig] = _signal.signal(
-                sig, lambda signum, frame: stop.set())
-    except (ValueError, OSError):   # pragma: no cover - non-main thread
-        pass
-    try:
-        while not stop.wait(0.5):
-            pass
-        print(f"shutting down (draining up to {drain_grace:g}s)",
-              flush=True)
-    except KeyboardInterrupt:       # signal handlers not installed
-        print("shutting down", flush=True)
+        wait_for_stop_signal(drain_grace)
     finally:
-        for sig, handler in previous.items():
-            try:
-                _signal.signal(sig, handler)
-            except (ValueError, OSError):   # pragma: no cover
-                pass
         svc.shutdown(drain_grace=drain_grace)
         if svc.released:
             print(f"released {svc.released} unfinished lease(s)",

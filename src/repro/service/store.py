@@ -1,6 +1,6 @@
-"""SQLite reference implementation of the storage layer.
+"""The job store: the storage layer's one implementation, on SQLite.
 
-One database file holds everything the service must not lose on restart:
+One database holds everything the service must not lose on restart:
 
 * ``jobs`` — every submitted job with its full input (instance JSON,
   algorithm list, priority, timeout) and lifecycle timestamps, so a
@@ -14,7 +14,7 @@ One database file holds everything the service must not lose on restart:
 
 The cross-client result cache lives next to the database in one more
 SQLite file, ``<path>.cache`` (:class:`~repro.resultcache.ServiceCache`),
-reached through the ``cache_get``/``cache_put`` seam.
+reached as ``store.cache``.
 
 Concurrency. The store is accessed from many threads (HTTP handlers +
 worker-node drainers) and, in fleet topologies, from many *processes*.
@@ -22,13 +22,12 @@ File-backed stores open one connection per thread (WAL journal +
 ``busy_timeout`` + ``BEGIN IMMEDIATE`` write transactions; a write of
 one statement runs in autocommit), so readers never block behind
 writers and concurrent writers queue on SQLite's own lock instead of
-racing; ``:memory:`` stores — where every connection
-would see a different empty database — keep the legacy single shared
-connection behind an RLock.
+racing. A ``:memory:`` store — where every connection would see a
+different empty database — keeps one connection behind an RLock, and
+lives only as long as the process that opened it.
 
-This is the reference :class:`~repro.service.storage.StoreBackend`; the
-in-memory twin used by tests and chaos lives in
-:mod:`repro.service.storage`.
+This is the one :class:`~repro.service.storage.StoreBackend`;
+:func:`~repro.service.storage.open_store` builds it from a store URL.
 """
 
 from __future__ import annotations
@@ -612,21 +611,3 @@ class JobStore:
         out = {s: 0 for s in JOB_STATUSES}
         out.update({r["status"]: r["n"] for r in rows})
         return out
-
-    # ------------------------------------------------------------------ #
-    # cross-client result cache
-    # ------------------------------------------------------------------ #
-
-    def cache_get(self, key: str) -> SolveReport | None:
-        return self.cache.peek(key)
-
-    def cache_put(self, key: str, digest: str, report: SolveReport) -> None:
-        self.cache.store(key, digest, report)
-
-    def cached_reports_for_digest(self, digest: str) -> list[SolveReport]:
-        """Every cached report for one instance content hash — the store
-        doubles as a digest-indexed ReportCache across clients."""
-        return self.cache.reports_for_digest(digest)
-
-    def cache_size(self) -> int:
-        return self.cache.size()

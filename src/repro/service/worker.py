@@ -31,7 +31,8 @@ run solver code on their main thread).
 
 :func:`run_worker` is the ``repro worker --store URL`` foreground entry:
 a standalone process holding nothing but a store connection and its
-drainers, SIGTERM/SIGINT releasing its leases on the way out.
+drainers, SIGTERM/SIGINT releasing its leases on the way out. It refuses
+an in-memory store, which no other process could submit to.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import signal
 import sqlite3
 import threading
 import time
@@ -262,11 +264,6 @@ class WorkerNode:
             self._wakeups += 1
             self._wake.notify()
 
-    def active(self) -> int:
-        """Jobs this node is solving right now."""
-        with self._cv:
-            return self._active
-
     def wait_terminal(self, job_id: str,
                       timeout: float) -> JobRecord | None:
         """The job's record once it is terminal, or its current record
@@ -290,21 +287,6 @@ class WorkerNode:
                 self._cv.wait_for(
                     lambda: self._finished != seen or self._stopping,
                     timeout=min(left, STORE_REREAD_SECONDS))
-
-    def join(self, timeout: float | None = None) -> bool:
-        """Block until the store holds no claimable work and this node is
-        idle. Other nodes' in-flight jobs are invisible here — fleet
-        callers should poll the store's counts instead."""
-        deadline = (time.monotonic() + timeout) if timeout is not None \
-            else None
-        while True:
-            with self._cv:
-                idle = self._active == 0
-            if idle and self.store.count_jobs("queued") == 0:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.02)
 
     # ------------------------------------------------------------------ #
     # draining
@@ -475,40 +457,15 @@ class WorkerNode:
                 self._threads[i].start()
 
 
-def run_worker(store_url: str, *, workers: int = 2, engine_workers: int = 0,
-               name: str | None = None, lease_seconds: float = 30.0,
-               default_timeout: float | None = None,
-               poll_interval: float = 0.25, drain_grace: float = 10.0,
-               quiet: bool = False, log_level: str | None = None) -> None:
-    """Run a standalone worker node in the foreground (``repro worker``).
-
-    Opens ``store_url``, drains it until SIGTERM/SIGINT, then stops
-    gracefully: in-flight jobs get up to ``drain_grace`` seconds, leases
-    that cannot finish are released back to the store untouched, and the
-    process exits 0. Several such processes against one SQLite store —
-    plus, typically, a ``repro serve --no-embedded-workers`` front door —
-    form the fleet topology."""
-    import signal as _signal
-
-    from ..engine.pool import shutdown_pool
-    from ..obs.log import set_level
-    from .storage import open_store
-
-    set_level(log_level or ("warning" if quiet else "info"))
-    store = open_store(store_url)
-    node = WorkerNode(store, workers=workers, engine_workers=engine_workers,
-                      name=name, lease_seconds=lease_seconds,
-                      default_timeout=default_timeout,
-                      poll_interval=poll_interval)
-    node.start()
-    print(f"repro worker {node.name!r} draining {store.url} "
-          f"({workers} drainer(s), engine_workers={engine_workers})",
-          flush=True)
+def wait_for_stop_signal(drain_grace: float) -> None:
+    """Block the foreground process (``repro serve``, ``repro worker``)
+    until SIGTERM or SIGINT, then announce the drain; the caller shuts
+    down once this returns. The previous handlers are restored first."""
     stop = threading.Event()
     previous = {}
     try:
-        for sig in (_signal.SIGTERM, _signal.SIGINT):
-            previous[sig] = _signal.signal(
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            previous[sig] = signal.signal(
                 sig, lambda signum, frame: stop.set())
     except (ValueError, OSError):   # pragma: no cover - non-main thread
         pass
@@ -521,9 +478,44 @@ def run_worker(store_url: str, *, workers: int = 2, engine_workers: int = 0,
     finally:
         for sig, handler in previous.items():
             try:
-                _signal.signal(sig, handler)
+                signal.signal(sig, handler)
             except (ValueError, OSError):   # pragma: no cover
                 pass
+
+
+def run_worker(store_url: str, *, workers: int = 2, engine_workers: int = 0,
+               name: str | None = None, lease_seconds: float = 30.0,
+               default_timeout: float | None = None,
+               poll_interval: float = 0.25, drain_grace: float = 10.0,
+               quiet: bool = False, log_level: str | None = None) -> None:
+    """Run a standalone worker node in the foreground (``repro worker``).
+
+    Opens ``store_url``, drains it until SIGTERM/SIGINT, then stops
+    gracefully: in-flight jobs get up to ``drain_grace`` seconds, leases
+    that cannot finish are released back to the store untouched, and the
+    process exits 0. Several such processes against one SQLite store —
+    plus, typically, a ``repro serve --no-embedded-workers`` front door —
+    form the fleet topology. An in-memory ``store_url`` (``memory://``,
+    ``sqlite:///:memory:``) raises :class:`ValueError` before any drainer
+    starts: no other process could submit to it."""
+    from ..engine.pool import shutdown_pool
+    from ..obs.log import set_level
+    from .storage import open_store, require_shared
+
+    set_level(log_level or ("warning" if quiet else "info"))
+    store = open_store(store_url)
+    require_shared(store)
+    node = WorkerNode(store, workers=workers, engine_workers=engine_workers,
+                      name=name, lease_seconds=lease_seconds,
+                      default_timeout=default_timeout,
+                      poll_interval=poll_interval)
+    node.start()
+    print(f"repro worker {node.name!r} draining {store.url} "
+          f"({workers} drainer(s), engine_workers={engine_workers})",
+          flush=True)
+    try:
+        wait_for_stop_signal(drain_grace)
+    finally:
         released = node.stop(wait=True, grace=drain_grace)
         store.close()
         shutdown_pool(wait=False)

@@ -74,6 +74,22 @@ class TestCampaign:
         assert data["ok"] is True and data["jobs"] == 6
 
 
+    def test_external_workers_refuse_an_in_memory_store(self, monkeypatch):
+        # the accept-only service refuses the store before any worker
+        # process is spawned; none could ever reach its jobs
+        spawned = []
+
+        def popen(argv, **kwargs):
+            spawned.append(argv)
+            raise OSError("no worker process may start")
+
+        monkeypatch.setattr(chaos.subprocess, "Popen", popen)
+        with pytest.raises(ValueError, match="private to this process"):
+            run_chaos(seed=7, jobs=2, store_url="sqlite:///:memory:",
+                      external_workers=2, deadline=5)
+        assert spawned == []
+
+
 #: A stand-in for ``repro worker``: starts one child, writes the child's
 #: pid to the file named by its last argument, and sleeps.
 _TINY_WORKER = (

@@ -1,6 +1,6 @@
 """Tests for the service's result cache: :class:`ServiceCache` on its
-own (both protocol dialects, in memory and on disk), and as the one
-``<db>.cache`` file beside a SQLite job store."""
+own (in memory and on disk), as the one ``<db>.cache`` file beside a
+SQLite job store, and behind ``GET /v1/results/{digest}``."""
 
 import json
 import sqlite3
@@ -13,7 +13,7 @@ from repro.engine import SolveReport
 from repro.obs.metrics import REGISTRY, parse_exposition
 from repro.resultcache import (CACHE_HITS, CACHE_MISSES, ServiceCache,
                                cache_key)
-from repro.service import JobStore
+from repro.service import JobStore, SchedulingService, ServiceClient
 
 
 @pytest.fixture
@@ -48,16 +48,16 @@ def _lookups() -> tuple[float, float]:
 class TestServiceCache:
     def test_round_trip(self, cache, inst):
         rep = _report(inst)
-        cache.store("k", inst.digest(), rep)
-        assert cache.peek("k") == rep
-        assert cache.peek("missing") is None
-        assert cache.size() == len(cache) == 1
+        cache.put("k", rep)
+        assert cache.get("k") == rep
+        assert cache.get("missing") is None
+        assert len(cache) == 1
 
     def test_overwrite_keeps_one_row(self, cache, inst):
-        cache.store("k", inst.digest(), _report(inst, algorithm="first"))
-        cache.store("k", inst.digest(), _report(inst, algorithm="second"))
-        assert cache.peek("k").algorithm == "second"
-        assert cache.size() == 1
+        cache.put("k", _report(inst, algorithm="first"))
+        cache.put("k", _report(inst, algorithm="second"))
+        assert cache.get("k").algorithm == "second"
+        assert len(cache) == 1
 
     def test_counting_protocol(self, cache, inst):
         key = cache_key(inst, "splittable")
@@ -89,23 +89,13 @@ class TestServiceCache:
         cache.get(key)
         assert exposed() == (hits0 + 2, misses0 + 1)
 
-    def test_peek_and_store_do_not_count(self, cache, inst):
-        before = _lookups()
-        cache.store("k", inst.digest(), _report(inst))
-        assert cache.peek("k") is not None
-        assert cache.peek("absent") is None
-        cache.reports_for_digest(inst.digest())
-        assert _lookups() == before
-
     def test_digest_view_in_insertion_order(self, cache, inst):
         other = Instance((4, 4), (0, 1), 2, 1)
         for k in range(6):
-            cache.store(f"key-{k}", inst.digest(),
-                        _report(inst, algorithm=f"algo-{k}"))
-        cache.store("other", other.digest(),
-                    _report(other, instance_digest=other.digest()))
+            cache.put(f"key-{k}", _report(inst, algorithm=f"algo-{k}"))
+        cache.put("other", _report(other, instance_digest=other.digest()))
         # an overwrite counts as the newest insertion
-        cache.store("key-0", inst.digest(), _report(inst, algorithm="again"))
+        cache.put("key-0", _report(inst, algorithm="again"))
         got = cache.reports_for_digest(inst.digest())
         assert [r.algorithm for r in got] == \
             [f"algo-{k}" for k in range(1, 6)] + ["again"]
@@ -118,21 +108,20 @@ class TestStoreCache:
         store = JobStore(path)
         keys = [f"key-{k}" for k in range(5)]
         for k, key in enumerate(keys):
-            store.cache_put(key, inst.digest(),
-                            _report(inst, algorithm=f"algo-{k}"))
+            store.cache.put(key, _report(inst, algorithm=f"algo-{k}"))
         store.close()
 
         again = JobStore(path)
         for key in keys:
-            assert again.cache_get(key) is not None, key
-        got = again.cached_reports_for_digest(inst.digest())
+            assert again.cache.get(key) is not None, key
+        got = again.cache.reports_for_digest(inst.digest())
         assert [r.algorithm for r in got] == [f"algo-{k}" for k in range(5)]
-        assert again.cache_size() == 5
+        assert len(again.cache) == 5
         again.close()
 
     def test_one_cache_file_beside_the_db(self, tmp_path, inst):
         store = JobStore(tmp_path / "jobs.db")
-        store.cache_put("k", inst.digest(), _report(inst))
+        store.cache.put("k", _report(inst))
         store.close()
         names = sorted(p.name for p in tmp_path.iterdir()
                        if not p.name.endswith(("-wal", "-shm")))
@@ -150,6 +139,29 @@ class TestStoreCache:
                          ("old-key", inst.digest(),
                           json.dumps(_report(inst).to_dict()), 1000.0))
         store = JobStore(path)
-        assert store.cache_get("old-key") is None
-        assert store.cache_size() == 0
+        assert store.cache.get("old-key") is None
+        assert len(store.cache) == 0
         store.close()
+
+
+@pytest.fixture(params=["memory", "file"])
+def service(request, tmp_path):
+    svc = SchedulingService("memory://" if request.param == "memory"
+                            else tmp_path / "jobs.db",
+                            port=0, drainers=0).start()
+    yield svc
+    svc.shutdown()
+
+
+class TestResultsRoute:
+    def test_results_route_does_not_count(self, service, inst):
+        # the digest view answers from the cache without counting a hit
+        # or a miss, so /v1/healthz and /v1/metrics show only real lookups
+        reports = [_report(inst, algorithm=f"algo-{k}") for k in range(3)]
+        for k, rep in enumerate(reports):
+            service.store.cache.put(f"key-{k}", rep)
+        before = _lookups()
+        with ServiceClient(service.url) as client:
+            assert client.results_for_digest(inst.digest()) == reports
+            assert client.results_for_digest("no-such-digest") == []
+        assert _lookups() == before

@@ -130,25 +130,23 @@ class TestResultCache:
         k1 = cache_key(inst, "splittable", {})
         k2 = cache_key(inst, "preemptive", {})
         k3 = cache_key(other, "splittable", {})
-        store.cache_put(k1, inst.digest(), _report(inst))
-        store.cache_put(k2, inst.digest(), _report(inst,
-                                                   algorithm="preemptive"))
-        store.cache_put(k3, other.digest(),
-                        _report(other, instance_digest=other.digest()))
-        assert store.cache_get(k1) == _report(inst)
-        assert store.cache_get("missing") is None
-        by_digest = store.cached_reports_for_digest(inst.digest())
+        store.cache.put(k1, _report(inst))
+        store.cache.put(k2, _report(inst, algorithm="preemptive"))
+        store.cache.put(k3, _report(other, instance_digest=other.digest()))
+        assert store.cache.get(k1) == _report(inst)
+        assert store.cache.get("missing") is None
+        by_digest = store.cache.reports_for_digest(inst.digest())
         assert {r.algorithm for r in by_digest} == {"splittable",
                                                     "preemptive"}
-        assert store.cache_size() == 3
+        assert len(store.cache) == 3
 
     def test_put_overwrites(self, store, inst):
         k = cache_key(inst, "splittable", {})
-        store.cache_put(k, inst.digest(), _report(inst))
+        store.cache.put(k, _report(inst))
         newer = _report(inst, makespan=Fraction(5, 2))
-        store.cache_put(k, inst.digest(), newer)
-        assert store.cache_get(k) == newer
-        assert store.cache_size() == 1
+        store.cache.put(k, newer)
+        assert store.cache.get(k) == newer
+        assert len(store.cache) == 1
 
     def test_store_cache_speaks_run_batch_protocol(self, store, inst):
         cache = store.cache
@@ -163,7 +161,7 @@ class TestResultCache:
         assert CACHE_MISSES.value(cache="service") == misses0 + 1
         assert len(cache) == 1
         # digest landed in the index column via report.instance_digest
-        assert store.cached_reports_for_digest(inst.digest()) == [hit]
+        assert cache.reports_for_digest(inst.digest()) == [hit]
 
 
 class TestSchemaMigration:

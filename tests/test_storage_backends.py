@@ -1,16 +1,24 @@
-"""Conformance tests for the storage layer: every StoreBackend speaks
-one contract, SQLite survives multi-thread and multi-connection writers,
-and store_url parsing builds the right backend."""
+"""Conformance tests for the storage layer: every flavour of the store
+(a file, ``:memory:``, the ``memory://`` URL) speaks one contract,
+SQLite survives multi-thread and multi-connection writers, store_url
+parsing builds the right store, and in-memory stores are refused where
+another process must reach them."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import Instance
 from repro.engine import SolveReport
-from repro.service import JobStore, MemoryStore, StoreBackend, open_store
+from repro.service import (JobStore, SchedulingService, ServiceClient,
+                           StoreBackend, open_store)
 
 
 @pytest.fixture
@@ -20,13 +28,13 @@ def inst() -> Instance:
 
 @pytest.fixture(params=["sqlite", "sqlite-memory", "memory"])
 def store(request, tmp_path):
-    """Every backend flavour, driven through the identical suite below."""
+    """Every store flavour, driven through the identical suite below."""
     if request.param == "sqlite":
         s = JobStore(tmp_path / "jobs.db")
     elif request.param == "sqlite-memory":
         s = JobStore(":memory:")
     else:
-        s = MemoryStore()
+        s = open_store("memory://")
     yield s
     s.close()
 
@@ -42,14 +50,14 @@ def _report(inst: Instance, **over) -> SolveReport:
 
 
 class TestBackendConformance:
-    """One behavioural suite, three backends — the protocol is the spec."""
+    """One behavioural suite, three flavours — the protocol is the spec."""
 
     def test_satisfies_protocol(self, store):
         assert isinstance(store, StoreBackend)
 
     def test_url_is_stable(self, store):
         assert store.url == store.url
-        assert store.url.startswith(("sqlite://", "memory://"))
+        assert store.url.startswith("sqlite:///")
 
     def test_claim_next_priority_then_fifo(self, store, inst):
         low1 = store.create_job(inst, [("lpt", {})], priority=1)
@@ -117,18 +125,17 @@ class TestBackendConformance:
 
     def test_cache_seam_round_trip(self, store, inst):
         rep = _report(inst)
-        store.cache_put("k1", inst.digest(), rep)
-        assert store.cache_get("k1").makespan == rep.makespan
-        assert store.cache_get("missing") is None
-        assert store.cache_size() == 1
-        got = store.cached_reports_for_digest(inst.digest())
+        store.cache.put("k1", rep)
+        assert store.cache.get("k1").makespan == rep.makespan
+        assert store.cache.get("missing") is None
+        assert len(store.cache) == 1
+        got = store.cache.reports_for_digest(inst.digest())
         assert [r.algorithm for r in got] == ["splittable"]
 
     def test_cached_reports_keep_insertion_order(self, store, inst):
         for k in range(6):
-            store.cache_put(f"key-{k}", inst.digest(),
-                            _report(inst, algorithm=f"algo-{k}"))
-        got = store.cached_reports_for_digest(inst.digest())
+            store.cache.put(f"key-{k}", _report(inst, algorithm=f"algo-{k}"))
+        got = store.cache.reports_for_digest(inst.digest())
         assert [r.algorithm for r in got] == [f"algo-{k}" for k in range(6)]
 
     def test_single_backend_thread_contention_claims_once(self, store, inst):
@@ -232,9 +239,19 @@ class TestSqliteConcurrency:
 
 class TestOpenStore:
     def test_memory_url(self):
+        # memory:// is a private JobStore(":memory:"), under its SQLite URL
         store = open_store("memory://")
-        assert isinstance(store, MemoryStore)
+        assert isinstance(store, JobStore) and store.path == ":memory:"
+        assert store.url == "sqlite:///:memory:"
         store.close()
+
+    def test_memory_service_reports_the_sqlite_url(self):
+        svc = SchedulingService("memory://", port=0, drainers=0).start()
+        try:
+            with ServiceClient(svc.url) as client:
+                assert client.health()["store"] == "sqlite:///:memory:"
+        finally:
+            svc.shutdown()
 
     def test_sqlite_relative_url(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -271,3 +288,35 @@ class TestOpenStore:
         assert b.count_jobs() == 0
         a.close()
         b.close()
+
+
+PRIVATE_URLS = pytest.mark.parametrize(
+    "url", ["memory://", "sqlite:///:memory:"], ids=["memory", "sqlite"])
+
+
+class TestPrivateStoresRefused:
+    """An in-memory store lives in one process: wherever another process
+    must reach the store to run its jobs, it is refused up front."""
+
+    @PRIVATE_URLS
+    def test_worker_cli_exits_with_an_error_line(self, tmp_path, url):
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "worker", "--store", url],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 1
+        assert any(line.startswith("error:") and "private" in line
+                   for line in proc.stderr.splitlines()), proc.stderr
+        assert "draining" not in proc.stdout
+
+    @PRIVATE_URLS
+    def test_accept_only_service_refuses(self, url):
+        with pytest.raises(ValueError, match="private to this process"):
+            SchedulingService(url, port=0, embedded_workers=False)
+
+    def test_accept_only_service_takes_a_file_store(self, tmp_path):
+        svc = SchedulingService(f"sqlite:///{tmp_path}/jobs.db", port=0,
+                                embedded_workers=False).start()
+        assert svc.node.workers == 0
+        svc.shutdown()

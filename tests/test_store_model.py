@@ -1,13 +1,15 @@
 """Model-based test of the store protocol.
 
-One hypothesis state machine drives ``MemoryStore``, a file-backed
-``JobStore`` and ``JobStore(":memory:")`` in lockstep through the whole
-lease protocol — create, ``claim_next``, ``claim_job``, heartbeat,
-requeue, ``release_lease``, quarantine, finish (with reports and with an
-error), ``reclaim_expired``, ``recover_incomplete`` — and a clock
-advance. After every step the three stores must have returned equal
-values and show an equal ``get_job``, ``counts``, ``claims_by_worker``
-and ``reports_for``, with job ids mapped between them. Four lifecycle
+One hypothesis state machine drives a file-backed ``JobStore`` and
+``JobStore(":memory:")`` in lockstep through the whole lease protocol —
+create, ``claim_next``, ``claim_job``, heartbeat, requeue,
+``release_lease``, quarantine, finish (with reports and with an error),
+``reclaim_expired``, ``recover_incomplete`` — and a clock advance. The
+two share their SQL but not their connection and transaction code: one
+connection per thread on the file, one shared connection behind a lock
+in memory. After every step both stores must have returned equal values
+and show an equal ``get_job``, ``counts``, ``claims_by_worker`` and
+``reports_for``, with job ids mapped between them. Four lifecycle
 invariants are checked on the way:
 
 * a terminal job never changes again;
@@ -16,7 +18,7 @@ invariants are checked on the way:
   nothing;
 * a running job cannot be claimed again.
 
-Both store modules read ``time.time()``; a fake clock replaces their
+The store module reads ``time.time()``; a fake clock replaces its
 ``time`` for the run, and every create advances it, so the claim order
 (priority, then submission time) never falls back to the random job id.
 """
@@ -32,11 +34,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-import repro.service.storage as storage_module
 import repro.service.store as store_module
 from repro import Instance
 from repro.engine import SolveReport
-from repro.service import JobStore, MemoryStore
+from repro.service import JobStore
 from repro.service.store import TERMINAL_STATUSES
 
 INST = Instance((5, 3, 8, 6, 2), (0, 0, 1, 2, 2), 2, 2)
@@ -49,7 +50,7 @@ STEPS = st.sampled_from([0.1, 1.0, 10.0])
 
 
 class _Clock:
-    """Stands in for the ``time`` module of the two store modules."""
+    """Stands in for the store module's ``time``."""
 
     def __init__(self) -> None:
         self.now = 1_700_000_000.0
@@ -76,11 +77,10 @@ class StoreModel(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.clock = _Clock()
-        self._saved = (store_module.time, storage_module.time)
-        store_module.time = storage_module.time = self.clock
+        self._saved = store_module.time
+        store_module.time = self.clock
         self.dir = tempfile.mkdtemp(prefix="store-model-")
-        self.stores = [MemoryStore(), JobStore(f"{self.dir}/jobs.db"),
-                       JobStore(":memory:")]
+        self.stores = [JobStore(f"{self.dir}/jobs.db"), JobStore(":memory:")]
         #: Per job index, its id in each store; and the way back.
         self.ids: list[list[str]] = []
         self.index: list[dict[str, int]] = [{} for _ in self.stores]
@@ -92,7 +92,7 @@ class StoreModel(RuleBasedStateMachine):
     def teardown(self) -> None:
         for store in self.stores:
             store.close()
-        store_module.time, storage_module.time = self._saved
+        store_module.time = self._saved
         shutil.rmtree(self.dir, ignore_errors=True)
 
     # ------------------------------------------------------------------ #

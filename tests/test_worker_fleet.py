@@ -15,7 +15,7 @@ import pytest
 
 from repro import Instance
 from repro.faults.chaos import CHAOS_ALGOS, campaign_instances, canonical_report
-from repro.service import JobStore, MemoryStore, WorkerNode
+from repro.service import JobStore, WorkerNode
 
 
 @pytest.fixture
@@ -48,7 +48,7 @@ class TestWakeUps:
         # the job lands after the drainer found the queue empty and
         # before it sleeps: its wake-up must not be lost, or the job
         # waits out the whole poll interval
-        store = MemoryStore()
+        store = JobStore(":memory:")
         node = WorkerNode(store, workers=1, poll_interval=5.0)
         claim_next = store.claim_next
         submitted = []
@@ -68,16 +68,17 @@ class TestWakeUps:
                     submitted and store.get_job(submitted[0].id).status
                     == "done"):
                 time.sleep(0.02)
+            assert submitted
+            assert store.get_job(submitted[0].id).status == "done"
         finally:
             node.stop()
             store.close()
-        assert submitted and store.get_job(submitted[0].id).status == "done"
 
     def test_completions_do_not_wake_idle_drainers(self, inst):
         # with both drainers asleep, a submit wakes one: it claims the
         # job, then finds the queue empty. The job's completion wakes
         # no drainer, so the other one never claims
-        store = MemoryStore()
+        store = JobStore(":memory:")
         claims = []
         claim_next = store.claim_next
         store.claim_next = lambda *a, **kw: claims.append(1) or claim_next(
@@ -99,7 +100,7 @@ class TestWakeUps:
     def test_no_wake_up_lost_under_contention(self, inst):
         # more drainers than cores, three submitters and a short switch
         # interval: any lost wake-up strands a job for the 30 s poll
-        store = MemoryStore()
+        store = JobStore(":memory:")
         node = WorkerNode(store, workers=4, poll_interval=30.0)
         prev = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -267,7 +268,7 @@ class TestTopologyEquivalence:
         return out
 
     def test_all_topologies_agree(self, tmp_path):
-        mem = MemoryStore()
+        mem = JobStore(":memory:")
         baseline = self._run(mem)
         mem.close()
 
